@@ -14,6 +14,7 @@ use crate::machine::{FlatMachine, FlatStateKey, FlatTransition};
 use promising_core::ids::TId;
 use promising_core::{Config, Fingerprint, Footprint, MayAccess, Outcome};
 use promising_explorer::{Engine, SearchBudget, SearchModel, Stats};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -204,16 +205,13 @@ fn reduce_flat_observers(m: &FlatMachine, transitions: &mut Vec<FlatTransition>)
         enabled_safe[tid] &= safe;
     }
     let mut prunable = Vec::with_capacity(n);
-    let mut future_writes: Vec<Option<MayAccess>> = vec![None; n];
-    let mut writes_of = |m: &FlatMachine, tid: usize| -> MayAccess {
-        future_writes[tid]
-            .get_or_insert_with(|| m.thread_future_writes(TId(tid)))
-            .clone()
-    };
+    let future_writes: Vec<OnceCell<MayAccess>> = vec![OnceCell::new(); n];
+    let writes_of =
+        |tid: usize| future_writes[tid].get_or_init(|| m.thread_future_writes(TId(tid)));
     for tid in 0..n {
-        let ok = seen[tid] && enabled_safe[tid] && writes_of(m, tid).is_empty() && {
+        let ok = seen[tid] && enabled_safe[tid] && writes_of(tid).is_empty() && {
             let reads = m.thread_future_reads(TId(tid));
-            (0..n).all(|other| other == tid || !writes_of(m, other).intersects(&reads))
+            (0..n).all(|other| other == tid || !writes_of(other).intersects(&reads))
         };
         prunable.push(ok);
     }
@@ -270,12 +268,8 @@ fn reduce_flat_frozen_reads(m: &FlatMachine, transitions: &mut Vec<FlatTransitio
     if n < 2 {
         return false;
     }
-    let mut writes: Vec<Option<MayAccess>> = vec![None; n];
-    let mut writes_of = |r: usize| -> MayAccess {
-        writes[r]
-            .get_or_insert_with(|| m.thread_future_writes(TId(r)))
-            .clone()
-    };
+    let writes: Vec<OnceCell<MayAccess>> = vec![OnceCell::new(); n];
+    let writes_of = |r: usize| writes[r].get_or_init(|| m.thread_future_writes(TId(r)));
     let mut has = vec![false; n];
     let mut eligible = vec![true; n];
     for t in transitions.iter() {

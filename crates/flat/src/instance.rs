@@ -6,86 +6,39 @@
 //! bound. This mirrors the abstract-microarchitectural structure of the
 //! Flat model of Pulte et al. [POPL 2018] that the paper benchmarks
 //! against.
+//!
+//! An instance's operation is its source statement, read from the
+//! program that every machine state shares, so an [`Instance`] keeps only
+//! what changes as it executes: its lifecycle [`InstState`] and, for
+//! branches, the speculation guess and squash continuation. Cloning a
+//! machine therefore copies no expression tree.
 
-use promising_core::expr::Expr;
 use promising_core::ids::{Reg, Timestamp, Val};
-use promising_core::stmt::{Fence, ReadKind, RmwOp, StmtId, WriteKind};
+use promising_core::stmt::{Stmt, StmtId};
 
-/// What an instance does.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub enum InstOp {
-    /// Register assignment.
-    Assign {
-        /// Destination.
-        reg: Reg,
-        /// Source expression.
-        expr: Expr,
-    },
-    /// A load.
-    Load {
-        /// Destination register.
-        reg: Reg,
-        /// Address expression.
-        addr: Expr,
-        /// Acquire strength.
-        rk: ReadKind,
-        /// Load exclusive?
-        exclusive: bool,
-    },
-    /// A store.
-    Store {
-        /// Success register (meaningful for exclusives).
-        succ: Reg,
-        /// Address expression.
-        addr: Expr,
-        /// Data expression.
-        data: Expr,
-        /// Release strength.
-        wk: WriteKind,
-        /// Store exclusive?
-        exclusive: bool,
-    },
-    /// A single-instruction atomic RMW, executed in two phases: a
-    /// read-bind step binds the old value from the coherence-latest
-    /// write (satisfying the acquire strength of the read half), and a
-    /// later write-propagate step appends the updated value — guarded
-    /// by the exclusive-pairing invariant that no other thread's write
-    /// to the location lands in between. Conservative like the
-    /// store-exclusive handling: it never forwards from unpropagated
-    /// stores, and the success flag binds only when the write half
-    /// resolves.
-    Rmw {
-        /// The update performed.
-        op: RmwOp,
-        /// Old-value destination register.
-        dst: Reg,
-        /// Success-flag register.
-        succ: Reg,
-        /// Address expression.
-        addr: Expr,
-        /// CAS only: expected value.
-        expected: Option<Expr>,
-        /// Stored value / fetch-op operand.
-        operand: Expr,
-        /// Acquire strength of the read half.
-        rk: ReadKind,
-        /// Release strength of the write half.
-        wk: WriteKind,
-    },
-    /// A fence.
-    Fence(Fence),
-    /// An ARM `isb`.
-    Isb,
-    /// A (conditional or loop) branch, fetched with a speculation guess.
-    Branch {
-        /// The branch condition.
-        cond: Expr,
-        /// The guessed direction.
-        guess: bool,
-        /// The fetch continuation for the direction *not* guessed, for
-        /// squashing on mis-speculation.
-        alt_cont: Vec<StmtId>,
-    },
+/// Does an instance of `op` read memory (RMWs count)?
+pub(crate) fn is_load(op: &Stmt) -> bool {
+    matches!(op, Stmt::Load { .. } | Stmt::Rmw { .. })
+}
+
+/// Does an instance of `op` write memory (RMWs count: they may write)?
+pub(crate) fn is_store(op: &Stmt) -> bool {
+    matches!(op, Stmt::Store { .. } | Stmt::Rmw { .. })
+}
+
+/// The registers an instance of `op` writes once bound.
+pub(crate) fn written_regs(op: &Stmt) -> impl Iterator<Item = Reg> {
+    let regs = match op {
+        Stmt::Assign { reg, .. } | Stmt::Load { reg, .. } => [Some(*reg), None],
+        Stmt::Store {
+            succ,
+            exclusive: true,
+            ..
+        } => [Some(*succ), None],
+        Stmt::Rmw { dst, succ, .. } => [Some(*dst), Some(*succ)],
+        _ => [None, None],
+    };
+    regs.into_iter().flatten()
 }
 
 /// Where a satisfied load got its value.
@@ -152,24 +105,41 @@ pub enum InstState {
     },
 }
 
-/// One instruction instance.
+/// One instruction instance: its statement and everything dynamic about
+/// it. Its operation is the statement
+/// ([`FlatMachine::op`](crate::FlatMachine::op)).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Instance {
     /// The statement this instance was fetched from.
     pub stmt: StmtId,
-    /// Its operation.
-    pub op: InstOp,
     /// Its lifecycle state.
     pub state: InstState,
+    /// Branches only: the guessed direction (the actual direction once
+    /// a mis-speculation is squashed; `false` for non-branches).
+    pub guess: bool,
+    /// Branches only: the fetch continuation for the direction *not*
+    /// guessed, for squashing on mis-speculation (empty when the branch
+    /// was fetched resolved or has been squashed).
+    pub alt_cont: Vec<StmtId>,
 }
 
 impl Instance {
     /// Fresh pending instance.
-    pub fn new(stmt: StmtId, op: InstOp) -> Instance {
+    pub fn new(stmt: StmtId) -> Instance {
         Instance {
             stmt,
-            op,
             state: InstState::Pending,
+            guess: false,
+            alt_cont: Vec::new(),
+        }
+    }
+
+    /// Branch instance whose direction was known at fetch.
+    pub(crate) fn resolved(stmt: StmtId, taken: bool) -> Instance {
+        Instance {
+            state: InstState::Resolved { taken },
+            guess: taken,
+            ..Instance::new(stmt)
         }
     }
 
@@ -180,14 +150,14 @@ impl Instance {
         !matches!(self.state, InstState::Pending | InstState::RmwBound { .. })
     }
 
-    /// Whether the instance's *read half* is bound. For loads this is
-    /// [`is_bound`](Self::is_bound); for RMWs the read binds at
-    /// `RmwBound`, before the write half propagates. Instances without
-    /// a read half are vacuously satisfied.
-    pub fn read_satisfied(&self) -> bool {
-        match &self.op {
-            InstOp::Load { .. } => self.is_bound(),
-            InstOp::Rmw { .. } => matches!(
+    /// Whether the instance's *read half* is bound, given its operation
+    /// `op`. For loads this is [`is_bound`](Self::is_bound); for RMWs the
+    /// read binds at `RmwBound`, before the write half propagates.
+    /// Instances without a read half are vacuously satisfied.
+    pub fn read_satisfied(&self, op: &Stmt) -> bool {
+        match op {
+            Stmt::Load { .. } => self.is_bound(),
+            Stmt::Rmw { .. } => matches!(
                 self.state,
                 InstState::RmwBound { .. } | InstState::RmwDone { .. }
             ),
@@ -195,19 +165,19 @@ impl Instance {
         }
     }
 
-    /// The value this instance wrote to `r`, if it writes `r` and the
-    /// value is available yet.
-    pub fn written_reg(&self, r: Reg) -> Option<Option<Val>> {
-        match &self.op {
-            InstOp::Assign { reg, .. } if *reg == r => Some(match self.state {
+    /// The value this instance (with operation `op`) wrote to `r`, if it
+    /// writes `r` and the value is available yet.
+    pub fn written_reg(&self, op: &Stmt, r: Reg) -> Option<Option<Val>> {
+        match op {
+            Stmt::Assign { reg, .. } if *reg == r => Some(match self.state {
                 InstState::Done { val } => Some(val),
                 _ => None,
             }),
-            InstOp::Load { reg, .. } if *reg == r => Some(match self.state {
+            Stmt::Load { reg, .. } if *reg == r => Some(match self.state {
                 InstState::Satisfied { val, .. } => Some(val),
                 _ => None,
             }),
-            InstOp::Store {
+            Stmt::Store {
                 succ, exclusive, ..
             } if *exclusive && *succ == r => Some(match self.state {
                 // The success value is bound when the store exclusive
@@ -217,14 +187,14 @@ impl Instance {
                 InstState::Failed => Some(Val::FAIL),
                 _ => None,
             }),
-            InstOp::Rmw { dst, .. } if *dst == r => Some(match self.state {
+            Stmt::Rmw { dst, .. } if *dst == r => Some(match self.state {
                 // The old value is visible as soon as the read half
                 // binds — po-later dependents need not wait for the
                 // write to land.
                 InstState::RmwBound { old, .. } | InstState::RmwDone { old, .. } => Some(old),
                 _ => None,
             }),
-            InstOp::Rmw { succ, .. } if *succ == r => Some(match self.state {
+            Stmt::Rmw { succ, .. } if *succ == r => Some(match self.state {
                 InstState::RmwDone { wrote, .. } => Some(if wrote.is_some() {
                     Val::SUCCESS
                 } else {
@@ -235,116 +205,95 @@ impl Instance {
             _ => None,
         }
     }
-
-    /// Is this a load instance (RMWs count: they read)?
-    pub fn is_load(&self) -> bool {
-        matches!(self.op, InstOp::Load { .. } | InstOp::Rmw { .. })
-    }
-
-    /// Is this a store instance (RMWs count: they may write)?
-    pub fn is_store(&self) -> bool {
-        matches!(self.op, InstOp::Store { .. } | InstOp::Rmw { .. })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use promising_core::ids::Reg;
+    use promising_core::expr::Expr;
+    use promising_core::stmt::{ReadKind, RmwOp, WriteKind};
 
     #[test]
     fn pending_instances_are_unbound() {
-        let i = Instance::new(
-            StmtId(0),
-            InstOp::Assign {
-                reg: Reg(0),
-                expr: Expr::val(1),
-            },
-        );
-        assert!(!i.is_bound());
+        assert!(!Instance::new(StmtId(0)).is_bound());
+        assert!(Instance::resolved(StmtId(0), true).is_bound());
     }
 
     #[test]
     fn written_reg_distinguishes_not_mine_and_not_ready() {
-        let mut i = Instance::new(
-            StmtId(0),
-            InstOp::Assign {
-                reg: Reg(0),
-                expr: Expr::val(1),
-            },
-        );
-        assert_eq!(i.written_reg(Reg(1)), None); // not my register
-        assert_eq!(i.written_reg(Reg(0)), Some(None)); // mine, not ready
+        let op = Stmt::Assign {
+            reg: Reg(0),
+            expr: Expr::val(1),
+        };
+        let mut i = Instance::new(StmtId(0));
+        assert_eq!(i.written_reg(&op, Reg(1)), None); // not my register
+        assert_eq!(i.written_reg(&op, Reg(0)), Some(None)); // mine, not ready
         i.state = InstState::Done { val: Val(1) };
-        assert_eq!(i.written_reg(Reg(0)), Some(Some(Val(1))));
+        assert_eq!(i.written_reg(&op, Reg(0)), Some(Some(Val(1))));
     }
 
     #[test]
     fn exclusive_store_success_register_binds_at_propagate_or_fail() {
-        let mut i = Instance::new(
-            StmtId(0),
-            InstOp::Store {
-                succ: Reg(2),
-                addr: Expr::val(0),
-                data: Expr::val(1),
-                wk: WriteKind::Plain,
-                exclusive: true,
-            },
-        );
-        assert_eq!(i.written_reg(Reg(2)), Some(None));
+        let op = Stmt::Store {
+            succ: Reg(2),
+            addr: Expr::val(0),
+            data: Expr::val(1),
+            kind: WriteKind::Plain,
+            exclusive: true,
+        };
+        let mut i = Instance::new(StmtId(0));
+        assert_eq!(i.written_reg(&op, Reg(2)), Some(None));
         i.state = InstState::Failed;
-        assert_eq!(i.written_reg(Reg(2)), Some(Some(Val::FAIL)));
+        assert_eq!(i.written_reg(&op, Reg(2)), Some(Some(Val::FAIL)));
         i.state = InstState::Propagated { ts: Timestamp(1) };
-        assert_eq!(i.written_reg(Reg(2)), Some(Some(Val::SUCCESS)));
+        assert_eq!(i.written_reg(&op, Reg(2)), Some(Some(Val::SUCCESS)));
     }
 
     #[test]
     fn rmw_old_value_binds_at_read_half_success_at_write_half() {
-        let mut i = Instance::new(
-            StmtId(0),
-            InstOp::Rmw {
-                op: RmwOp::FetchAdd,
-                dst: Reg(1),
-                succ: Reg(2),
-                addr: Expr::val(0),
-                expected: None,
-                operand: Expr::val(1),
-                rk: ReadKind::Acquire,
-                wk: WriteKind::Plain,
-            },
-        );
-        assert!(!i.read_satisfied());
+        let op = Stmt::Rmw {
+            op: RmwOp::FetchAdd,
+            dst: Reg(1),
+            succ: Reg(2),
+            addr: Expr::val(0),
+            expected: None,
+            operand: Expr::val(1),
+            rk: ReadKind::Acquire,
+            wk: WriteKind::Plain,
+        };
+        let mut i = Instance::new(StmtId(0));
+        assert!(!i.read_satisfied(&op));
         i.state = InstState::RmwBound {
             tr: Timestamp(0),
             old: Val(7),
         };
         // Read half bound: old value visible, success still pending,
         // and the instance as a whole is not final.
-        assert!(i.read_satisfied());
+        assert!(i.read_satisfied(&op));
         assert!(!i.is_bound());
-        assert_eq!(i.written_reg(Reg(1)), Some(Some(Val(7))));
-        assert_eq!(i.written_reg(Reg(2)), Some(None));
+        assert_eq!(i.written_reg(&op, Reg(1)), Some(Some(Val(7))));
+        assert_eq!(i.written_reg(&op, Reg(2)), Some(None));
         i.state = InstState::RmwDone {
             tr: Timestamp(0),
             old: Val(7),
             wrote: Some(Timestamp(1)),
         };
         assert!(i.is_bound());
-        assert_eq!(i.written_reg(Reg(2)), Some(Some(Val::SUCCESS)));
+        assert_eq!(i.written_reg(&op, Reg(2)), Some(Some(Val::SUCCESS)));
+        assert_eq!(written_regs(&op).collect::<Vec<_>>(), [Reg(1), Reg(2)]);
+        assert!(is_load(&op) && is_store(&op));
     }
 
     #[test]
     fn non_exclusive_store_does_not_write_success() {
-        let i = Instance::new(
-            StmtId(0),
-            InstOp::Store {
-                succ: Reg(2),
-                addr: Expr::val(0),
-                data: Expr::val(1),
-                wk: WriteKind::Plain,
-                exclusive: false,
-            },
-        );
-        assert_eq!(i.written_reg(Reg(2)), None);
+        let op = Stmt::Store {
+            succ: Reg(2),
+            addr: Expr::val(0),
+            data: Expr::val(1),
+            kind: WriteKind::Plain,
+            exclusive: false,
+        };
+        assert_eq!(Instance::new(StmtId(0)).written_reg(&op, Reg(2)), None);
+        assert_eq!(written_regs(&op).count(), 0);
     }
 }

@@ -47,5 +47,5 @@ pub mod instance;
 pub mod machine;
 
 pub use explore::{explore_flat, explore_flat_budget, FlatExploration, FlatModel, FlatStats};
-pub use instance::{InstOp, InstState, Instance, Src};
+pub use instance::{InstState, Instance, Src};
 pub use machine::{FlatMachine, FlatStateKey, FlatThread, FlatTransition};

@@ -29,7 +29,7 @@
 //! Flat-lite forbid a handful of exotic outcomes that the other two models
 //! allow; the litmus harness skips exactly those shapes for Flat.
 
-use crate::instance::{InstOp, InstState, Instance, Src};
+use crate::instance::{self, InstState, Instance, Src};
 use promising_core::config::Arch;
 use promising_core::config::Config;
 use promising_core::expr::Expr;
@@ -132,7 +132,9 @@ impl fmt::Display for FlatTransition {
     }
 }
 
-/// The Flat-lite machine state.
+/// The Flat-lite machine state. The program, whose statements are the
+/// instances' operations, is shared by every clone; only the threads'
+/// instance lists, fetch state and the memory are per-state.
 #[derive(Clone, Debug)]
 pub struct FlatMachine {
     config: Arc<Config>,
@@ -205,6 +207,12 @@ impl FlatMachine {
     /// The threads.
     pub fn threads(&self) -> &[FlatThread] {
         &self.threads
+    }
+
+    /// The operation of thread `tid`'s instance fetched from `stmt`: the
+    /// statement itself, shared by every instance fetched from it.
+    pub fn op(&self, tid: TId, stmt: StmtId) -> &Stmt {
+        self.program.threads()[tid.0].stmt(stmt)
     }
 
     /// Exact dedup key (stored by the paranoid visited-set mode to
@@ -332,7 +340,7 @@ impl FlatMachine {
             out.word(b);
         };
         out.word(self.threads.len() as u64);
-        for t in &self.threads {
+        for (t, code) in self.threads.iter().zip(self.program.threads()) {
             out.word(t.stuck as u64);
             out.word(t.fetch_fuel as u64);
             out.word(t.fetch_cont.len() as u64);
@@ -350,19 +358,10 @@ impl FlatMachine {
                 .unwrap_or(t.instances.len());
             let mut regs: BTreeMap<Reg, Val> = BTreeMap::new();
             for inst in &t.instances[..live] {
-                let written: Vec<Reg> = match &inst.op {
-                    InstOp::Assign { reg, .. } | InstOp::Load { reg, .. } => vec![*reg],
-                    InstOp::Store {
-                        succ,
-                        exclusive: true,
-                        ..
-                    } => vec![*succ],
-                    InstOp::Rmw { dst, succ, .. } => vec![*dst, *succ],
-                    _ => Vec::new(),
-                };
-                for r in written {
+                let op = code.stmt(inst.stmt);
+                for r in instance::written_regs(op) {
                     let v = inst
-                        .written_reg(r)
+                        .written_reg(op, r)
                         .flatten()
                         .expect("bound instance has its register value");
                     regs.insert(r, v);
@@ -384,11 +383,11 @@ impl FlatMachine {
             let mut bank: Option<Timestamp> = None;
             for j in (0..live).rev() {
                 let jinst = &t.instances[j];
-                match &jinst.op {
-                    InstOp::Store {
+                match code.stmt(jinst.stmt) {
+                    Stmt::Store {
                         exclusive: true, ..
                     } => break, // interposed: bank stays empty
-                    InstOp::Rmw { .. } => {
+                    Stmt::Rmw { .. } => {
                         if let InstState::RmwDone {
                             tr, wrote: None, ..
                         } = jinst.state
@@ -397,7 +396,7 @@ impl FlatMachine {
                         }
                         break;
                     }
-                    InstOp::Load {
+                    Stmt::Load {
                         exclusive: true, ..
                     } => {
                         if let InstState::Satisfied { src, .. } = jinst.state {
@@ -424,20 +423,19 @@ impl FlatMachine {
             out.word((t.instances.len() - live) as u64);
             for inst in &t.instances[live..] {
                 out.word(inst.stmt.0 as u64);
-                match &inst.op {
-                    InstOp::Assign { .. } => out.word(0),
-                    InstOp::Load { .. } => out.word(1),
-                    InstOp::Store { .. } => out.word(2),
-                    InstOp::Fence(_) => out.word(3),
-                    InstOp::Isb => out.word(4),
-                    InstOp::Rmw { .. } => out.word(6),
-                    InstOp::Branch {
-                        guess, alt_cont, ..
-                    } => {
+                match code.stmt(inst.stmt) {
+                    Stmt::Assign { .. } => out.word(0),
+                    Stmt::Load { .. } => out.word(1),
+                    Stmt::Store { .. } => out.word(2),
+                    Stmt::Fence(_) => out.word(3),
+                    Stmt::Isb => out.word(4),
+                    Stmt::Rmw { .. } => out.word(6),
+                    Stmt::Seq(..) | Stmt::Skip => unreachable!("never fetched"),
+                    Stmt::If { .. } | Stmt::While { .. } => {
                         out.word(5);
-                        out.word(*guess as u64);
-                        out.word(alt_cont.len() as u64);
-                        for s in alt_cont {
+                        out.word(inst.guess as u64);
+                        out.word(inst.alt_cont.len() as u64);
+                        for s in &inst.alt_cont {
                             out.word(s.0 as u64);
                         }
                     }
@@ -544,7 +542,7 @@ impl FlatMachine {
         }
         let mut h = FpHasher::new();
         h.write_len(self.threads.len());
-        for t in &self.threads {
+        for (t, code) in self.threads.iter().zip(self.program.threads()) {
             h.write_bool(t.stuck);
             h.write_u32(t.fetch_fuel);
             h.write_len(t.fetch_cont.len());
@@ -554,20 +552,19 @@ impl FlatMachine {
             h.write_len(t.instances.len());
             for inst in &t.instances {
                 h.write_u32(inst.stmt.0);
-                match &inst.op {
-                    InstOp::Assign { .. } => h.write_u64(0),
-                    InstOp::Load { .. } => h.write_u64(1),
-                    InstOp::Store { .. } => h.write_u64(2),
-                    InstOp::Fence(_) => h.write_u64(3),
-                    InstOp::Isb => h.write_u64(4),
-                    InstOp::Rmw { .. } => h.write_u64(6),
-                    InstOp::Branch {
-                        guess, alt_cont, ..
-                    } => {
+                match code.stmt(inst.stmt) {
+                    Stmt::Assign { .. } => h.write_u64(0),
+                    Stmt::Load { .. } => h.write_u64(1),
+                    Stmt::Store { .. } => h.write_u64(2),
+                    Stmt::Fence(_) => h.write_u64(3),
+                    Stmt::Isb => h.write_u64(4),
+                    Stmt::Rmw { .. } => h.write_u64(6),
+                    Stmt::Seq(..) | Stmt::Skip => unreachable!("never fetched"),
+                    Stmt::If { .. } | Stmt::While { .. } => {
                         h.write_u64(5);
-                        h.write_bool(*guess);
-                        h.write_len(alt_cont.len());
-                        for s in alt_cont {
+                        h.write_bool(inst.guess);
+                        h.write_len(inst.alt_cont.len());
+                        for s in &inst.alt_cont {
                             h.write_u32(s.0);
                         }
                     }
@@ -648,27 +645,17 @@ impl FlatMachine {
         let regs = self
             .threads
             .iter()
-            .map(|t| {
+            .zip(self.program.threads())
+            .map(|(t, code)| {
                 let mut map: BTreeMap<Reg, Val> = BTreeMap::new();
                 for inst in &t.instances {
-                    let written: Vec<Reg> = match &inst.op {
-                        InstOp::Assign { reg, .. } | InstOp::Load { reg, .. } => vec![*reg],
-                        InstOp::Store {
-                            succ,
-                            exclusive: true,
-                            ..
-                        } => vec![*succ],
-                        InstOp::Rmw { dst, succ, .. } => vec![*dst, *succ],
-                        _ => Vec::new(),
-                    };
-                    for r in written {
-                        if r.0 < SCRATCH_REG_BASE {
-                            let v = inst
-                                .written_reg(r)
-                                .flatten()
-                                .expect("bound instance has its value");
-                            map.insert(r, v);
-                        }
+                    let op = code.stmt(inst.stmt);
+                    for r in instance::written_regs(op).filter(|r| r.0 < SCRATCH_REG_BASE) {
+                        let v = inst
+                            .written_reg(op, r)
+                            .flatten()
+                            .expect("bound instance has its value");
+                        map.insert(r, v);
                     }
                 }
                 map
@@ -686,9 +673,9 @@ impl FlatMachine {
     /// The value of register `r` as seen by the instance at `idx` (the
     /// nearest po-earlier writer), `None` if not yet available.
     fn reg_value(&self, tid: TId, idx: usize, r: Reg) -> Option<Val> {
-        let t = &self.threads[tid.0];
-        for inst in t.instances[..idx].iter().rev() {
-            if let Some(v) = inst.written_reg(r) {
+        let code = &self.program.threads()[tid.0];
+        for inst in self.threads[tid.0].instances[..idx].iter().rev() {
+            if let Some(v) = inst.written_reg(code.stmt(inst.stmt), r) {
                 return v;
             }
         }
@@ -711,11 +698,8 @@ impl FlatMachine {
 
     /// The resolved address of the memory access at `idx`, if available.
     fn addr_of(&self, tid: TId, idx: usize) -> Option<Loc> {
-        let inst = &self.threads[tid.0].instances[idx];
-        let addr = match &inst.op {
-            InstOp::Load { addr, .. } | InstOp::Store { addr, .. } | InstOp::Rmw { addr, .. } => {
-                addr
-            }
+        let addr = match self.op(tid, self.threads[tid.0].instances[idx].stmt) {
+            Stmt::Load { addr, .. } | Stmt::Store { addr, .. } | Stmt::Rmw { addr, .. } => addr,
             _ => return None,
         };
         self.eval_at(tid, idx, addr).map(Loc::from)
@@ -742,9 +726,9 @@ impl FlatMachine {
 
     /// Fetch instructions as long as no unresolved-branch choice is needed.
     fn fetch_deterministic(&mut self, tid: TId) -> bool {
+        let code = &self.program.threads()[tid.0];
         let mut progressed = false;
         loop {
-            let code = &self.program.threads()[tid.0];
             let t = &mut self.threads[tid.0];
             if t.stuck {
                 return progressed;
@@ -754,9 +738,8 @@ impl FlatMachine {
                 match code.stmt(top) {
                     Stmt::Seq(a, b) => {
                         t.fetch_cont.pop();
-                        let (a, b) = (*a, *b);
-                        t.fetch_cont.push(b);
-                        t.fetch_cont.push(a);
+                        t.fetch_cont.push(*b);
+                        t.fetch_cont.push(*a);
                     }
                     Stmt::Skip => {
                         t.fetch_cont.pop();
@@ -768,140 +751,47 @@ impl FlatMachine {
                 return progressed;
             };
             let idx = t.instances.len();
-            match code.stmt(top).clone() {
-                Stmt::Skip | Stmt::Seq(..) => unreachable!("normalized"),
-                Stmt::Assign { reg, expr } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances
-                        .push(Instance::new(top, InstOp::Assign { reg, expr }));
+            let stmt = code.stmt(top);
+            // a branch resolvable now is fetched down the right path
+            // without a guess; otherwise a speculation choice is needed
+            let taken = match stmt {
+                Stmt::If { cond, .. } | Stmt::While { cond, .. } => {
+                    match self.eval_at(tid, idx, cond) {
+                        Some(v) => v.as_bool(),
+                        None => return progressed,
+                    }
                 }
-                Stmt::Load {
-                    reg,
-                    addr,
-                    kind,
-                    exclusive,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Load {
-                            reg,
-                            addr,
-                            rk: kind,
-                            exclusive,
-                        },
-                    ));
-                }
-                Stmt::Store {
-                    succ,
-                    addr,
-                    data,
-                    kind,
-                    exclusive,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Store {
-                            succ,
-                            addr,
-                            data,
-                            wk: kind,
-                            exclusive,
-                        },
-                    ));
-                }
-                Stmt::Rmw {
-                    op,
-                    dst,
-                    succ,
-                    addr,
-                    expected,
-                    operand,
-                    rk,
-                    wk,
-                } => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(
-                        top,
-                        InstOp::Rmw {
-                            op,
-                            dst,
-                            succ,
-                            addr,
-                            expected,
-                            operand,
-                            rk,
-                            wk,
-                        },
-                    ));
-                }
-                Stmt::Fence(f) => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(top, InstOp::Fence(f)));
-                }
-                Stmt::Isb => {
-                    let t = &mut self.threads[tid.0];
-                    t.fetch_cont.pop();
-                    t.instances.push(Instance::new(top, InstOp::Isb));
-                }
+                _ => false,
+            };
+            let t = &mut self.threads[tid.0];
+            match stmt {
                 Stmt::If {
-                    cond,
                     then_branch,
                     else_branch,
+                    ..
                 } => {
-                    // resolvable now? fetch the right path without a guess
-                    match self.eval_at(tid, idx, &cond) {
-                        Some(v) => {
-                            let taken = v.as_bool();
-                            let t = &mut self.threads[tid.0];
-                            t.fetch_cont.pop();
-                            t.fetch_cont
-                                .push(if taken { then_branch } else { else_branch });
-                            t.instances.push(Instance {
-                                stmt: top,
-                                op: InstOp::Branch {
-                                    cond,
-                                    guess: taken,
-                                    alt_cont: Vec::new(),
-                                },
-                                state: InstState::Resolved { taken },
-                            });
-                        }
-                        None => return progressed, // speculation choice needed
-                    }
+                    t.fetch_cont.pop();
+                    t.fetch_cont
+                        .push(if taken { *then_branch } else { *else_branch });
+                    t.instances.push(Instance::resolved(top, taken));
                 }
-                Stmt::While { cond, body } => match self.eval_at(tid, idx, &cond) {
-                    Some(v) => {
-                        let taken = v.as_bool();
-                        let t = &mut self.threads[tid.0];
-                        if taken {
-                            if t.fetch_fuel == 0 {
-                                t.stuck = true;
-                                return progressed;
-                            }
-                            t.fetch_fuel -= 1;
-                            t.fetch_cont.push(body);
-                        } else {
-                            t.fetch_cont.pop();
+                Stmt::While { body, .. } => {
+                    if taken {
+                        if t.fetch_fuel == 0 {
+                            t.stuck = true;
+                            return progressed;
                         }
-                        t.instances.push(Instance {
-                            stmt: top,
-                            op: InstOp::Branch {
-                                cond,
-                                guess: taken,
-                                alt_cont: Vec::new(),
-                            },
-                            state: InstState::Resolved { taken },
-                        });
+                        t.fetch_fuel -= 1;
+                        t.fetch_cont.push(*body);
+                    } else {
+                        t.fetch_cont.pop();
                     }
-                    None => return progressed,
-                },
+                    t.instances.push(Instance::resolved(top, taken));
+                }
+                _ => {
+                    t.fetch_cont.pop();
+                    t.instances.push(Instance::new(top));
+                }
             }
             progressed = true;
         }
@@ -911,9 +801,10 @@ impl FlatMachine {
         let mut progressed = false;
         for idx in 0..self.threads[tid.0].instances.len() {
             let inst = &self.threads[tid.0].instances[idx];
-            if let (InstOp::Assign { expr, .. }, InstState::Pending) =
-                (&inst.op.clone(), inst.state)
-            {
+            if inst.state != InstState::Pending {
+                continue;
+            }
+            if let Stmt::Assign { expr, .. } = self.op(tid, inst.stmt) {
                 if let Some(val) = self.eval_at(tid, idx, expr) {
                     self.threads[tid.0].instances[idx].state = InstState::Done { val };
                     progressed = true;
@@ -927,81 +818,75 @@ impl FlatMachine {
     /// available; squash on mis-speculation.
     fn resolve_branches(&mut self, tid: TId) -> bool {
         let mut progressed = false;
-        let mut idx = 0;
-        while idx < self.threads[tid.0].instances.len() {
-            let inst = self.threads[tid.0].instances[idx].clone();
-            if let (
-                InstOp::Branch {
-                    cond,
-                    guess,
-                    alt_cont,
-                },
-                InstState::Pending,
-            ) = (&inst.op, inst.state)
-            {
-                if let Some(v) = self.eval_at(tid, idx, cond) {
-                    let taken = v.as_bool();
-                    let t = &mut self.threads[tid.0];
-                    if taken == *guess {
-                        t.instances[idx].state = InstState::Resolved { taken };
-                    } else {
-                        // mis-speculation: discard everything younger and
-                        // refetch down the other path.
-                        debug_assert!(
-                            t.instances[idx + 1..].iter().all(|i| !matches!(
-                                i.state,
-                                InstState::Propagated { .. }
-                                    | InstState::RmwDone { wrote: Some(_), .. }
-                            )),
-                            "speculative stores must never propagate"
-                        );
-                        t.instances.truncate(idx + 1);
-                        t.fetch_cont = alt_cont.clone();
-                        t.instances[idx].state = InstState::Resolved { taken };
-                        t.instances[idx].op = InstOp::Branch {
-                            cond: cond.clone(),
-                            guess: taken,
-                            alt_cont: Vec::new(),
-                        };
-                    }
-                    progressed = true;
-                }
+        for idx in 0..self.threads[tid.0].instances.len() {
+            let inst = &self.threads[tid.0].instances[idx];
+            let (InstState::Pending, Stmt::If { cond, .. } | Stmt::While { cond, .. }) =
+                (inst.state, self.op(tid, inst.stmt))
+            else {
+                continue;
+            };
+            let Some(v) = self.eval_at(tid, idx, cond) else {
+                continue;
+            };
+            let taken = v.as_bool();
+            let t = &mut self.threads[tid.0];
+            t.instances[idx].state = InstState::Resolved { taken };
+            progressed = true;
+            if taken != t.instances[idx].guess {
+                // mis-speculation: discard everything younger and
+                // refetch down the other path.
+                debug_assert!(
+                    t.instances[idx + 1..].iter().all(|i| !matches!(
+                        i.state,
+                        InstState::Propagated { .. } | InstState::RmwDone { wrote: Some(_), .. }
+                    )),
+                    "speculative stores must never propagate"
+                );
+                t.instances.truncate(idx + 1);
+                let branch = &mut t.instances[idx];
+                t.fetch_cont = std::mem::take(&mut branch.alt_cont);
+                branch.guess = taken;
+                break; // nothing younger is left to resolve
             }
-            idx += 1;
         }
         progressed
     }
 
     fn commit_fences(&mut self, tid: TId) -> bool {
+        let code = &self.program.threads()[tid.0];
         let mut progressed = false;
         for idx in 0..self.threads[tid.0].instances.len() {
-            let inst = self.threads[tid.0].instances[idx].clone();
-            if inst.state != InstState::Pending {
+            let t = &self.threads[tid.0];
+            if t.instances[idx].state != InstState::Pending {
                 continue;
             }
-            let ready = match &inst.op {
-                InstOp::Fence(f) => {
+            let ready = match code.stmt(t.instances[idx].stmt) {
+                Stmt::Fence(f) => {
                     // The read pre-set is satisfied by an RMW's bound
                     // read half (`read_satisfied`); the write pre-set
                     // needs its write half landed (`is_bound`). For
                     // plain loads the two predicates coincide.
-                    let t = &self.threads[tid.0];
                     t.instances[..idx].iter().all(|j| {
-                        (!f.pre.includes_reads() || !j.is_load() || j.read_satisfied())
-                            && (!f.pre.includes_writes() || !j.is_store() || j.is_bound())
+                        let jop = code.stmt(j.stmt);
+                        (!f.pre.includes_reads()
+                            || !instance::is_load(jop)
+                            || j.read_satisfied(jop))
+                            && (!f.pre.includes_writes()
+                                || !instance::is_store(jop)
+                                || j.is_bound())
                     })
                 }
-                InstOp::Isb => {
+                Stmt::Isb => {
                     // all po-earlier branches resolved and access addresses
                     // determined (the ctrl/addr half-barriers of ρ7); an
                     // RMW's desugared loop exit is a branch on its success
                     // flag, so unbound RMWs block like unresolved branches
-                    (0..idx).all(|j| {
-                        let jinst = &self.threads[tid.0].instances[j];
-                        match &jinst.op {
-                            InstOp::Branch { .. } => jinst.is_bound(),
-                            InstOp::Rmw { .. } => jinst.is_bound(),
-                            InstOp::Load { .. } | InstOp::Store { .. } => {
+                    t.instances[..idx].iter().enumerate().all(|(j, jinst)| {
+                        match code.stmt(jinst.stmt) {
+                            Stmt::If { .. } | Stmt::While { .. } | Stmt::Rmw { .. } => {
+                                jinst.is_bound()
+                            }
+                            Stmt::Load { .. } | Stmt::Store { .. } => {
                                 self.addr_of(tid, j).is_some()
                             }
                             _ => true,
@@ -1024,8 +909,9 @@ impl FlatMachine {
     /// source, or `None` if blocked.
     fn load_source(&self, tid: TId, idx: usize) -> Option<(Src, Val)> {
         let t = &self.threads[tid.0];
+        let code = &self.program.threads()[tid.0];
         let inst = &t.instances[idx];
-        let InstOp::Load { rk, .. } = &inst.op else {
+        let Stmt::Load { kind: rk, .. } = code.stmt(inst.stmt) else {
             return None;
         };
         let loc = self.addr_of(tid, idx)?;
@@ -1035,8 +921,9 @@ impl FlatMachine {
         let mut fwd: Option<usize> = None;
         for j in (0..idx).rev() {
             let jinst = &t.instances[j];
-            match &jinst.op {
-                InstOp::Load { rk: jrk, .. } => {
+            let jop = code.stmt(jinst.stmt);
+            match jop {
+                Stmt::Load { kind: jrk, .. } => {
                     let jloc = self.addr_of(tid, j)?; // unresolved addr blocks
                     if *jrk >= ReadKind::WeakAcquire && !jinst.is_bound() {
                         return None; // acquire orders later reads
@@ -1045,7 +932,7 @@ impl FlatMachine {
                         return None; // same-address loads bind in order
                     }
                 }
-                InstOp::Store { wk, .. } => {
+                Stmt::Store { kind: wk, .. } => {
                     let jloc = self.addr_of(tid, j)?;
                     if *rk >= ReadKind::Acquire
                         && *wk >= WriteKind::Release
@@ -1067,7 +954,7 @@ impl FlatMachine {
                         }
                     }
                 }
-                InstOp::Rmw {
+                Stmt::Rmw {
                     rk: jrk, wk: jwk, ..
                 } => {
                     // an RMW is both a read and a write for the blocking
@@ -1078,7 +965,7 @@ impl FlatMachine {
                     // read→write, so nothing orders a later load after the
                     // RMW's *write*.
                     let jloc = self.addr_of(tid, j)?;
-                    if *jrk >= ReadKind::WeakAcquire && !jinst.read_satisfied() {
+                    if *jrk >= ReadKind::WeakAcquire && !jinst.read_satisfied(jop) {
                         return None; // acquire read orders later reads
                     }
                     if *rk >= ReadKind::Acquire && *jwk >= WriteKind::Release && !jinst.is_bound() {
@@ -1088,26 +975,30 @@ impl FlatMachine {
                         return None; // same-address accesses bind in order
                     }
                 }
-                InstOp::Fence(f) => {
+                Stmt::Fence(f) => {
                     if f.post.includes_reads() && !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Isb => {
+                Stmt::Isb => {
                     if !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Branch { .. } | InstOp::Assign { .. } => {}
+                Stmt::If { .. }
+                | Stmt::While { .. }
+                | Stmt::Assign { .. }
+                | Stmt::Seq(..)
+                | Stmt::Skip => {}
             }
         }
 
         match fwd {
             Some(j) => {
                 let jinst = &t.instances[j];
-                let InstOp::Store {
+                let Stmt::Store {
                     data, exclusive, ..
-                } = &jinst.op
+                } = code.stmt(jinst.stmt)
                 else {
                     unreachable!("forward source is a store");
                 };
@@ -1135,21 +1026,23 @@ impl FlatMachine {
     /// see [`FlatMachine::stx_pairing`].
     fn store_ready(&self, tid: TId, idx: usize) -> Option<(Loc, Val)> {
         let t = &self.threads[tid.0];
+        let code = &self.program.threads()[tid.0];
         let inst = &t.instances[idx];
-        let InstOp::Store { data, wk, .. } = &inst.op else {
+        let Stmt::Store { data, kind: wk, .. } = code.stmt(inst.stmt) else {
             return None;
         };
         let loc = self.addr_of(tid, idx)?;
         let val = self.eval_at(tid, idx, data)?;
         for j in (0..idx).rev() {
             let jinst = &t.instances[j];
-            match &jinst.op {
-                InstOp::Branch { .. } => {
+            let jop = code.stmt(jinst.stmt);
+            match jop {
+                Stmt::If { .. } | Stmt::While { .. } => {
                     if !jinst.is_bound() {
                         return None; // no speculative writes
                     }
                 }
-                InstOp::Load { rk, .. } => {
+                Stmt::Load { kind: rk, .. } => {
                     let jloc = self.addr_of(tid, j)?; // address-po
                     let need_bound = jloc == loc
                         || *rk >= ReadKind::WeakAcquire
@@ -1158,7 +1051,7 @@ impl FlatMachine {
                         return None;
                     }
                 }
-                InstOp::Store { .. } => {
+                Stmt::Store { .. } => {
                     let jloc = self.addr_of(tid, j)?; // address-po
                     let need_done = jloc == loc || *wk >= WriteKind::WeakRelease;
                     if need_done
@@ -1170,8 +1063,8 @@ impl FlatMachine {
                         return None;
                     }
                 }
-                InstOp::Rmw {
-                    op: jop, rk: jrk, ..
+                Stmt::Rmw {
+                    op: jrmw, rk: jrk, ..
                 } => {
                     let jloc = self.addr_of(tid, j)?;
                     // Write-half edges — same-address ordering, release
@@ -1187,17 +1080,17 @@ impl FlatMachine {
                     if need_done && !jinst.is_bound() {
                         return None;
                     }
-                    let need_read = *jrk >= ReadKind::WeakAcquire || *jop == RmwOp::Cas;
-                    if need_read && !jinst.read_satisfied() {
+                    let need_read = *jrk >= ReadKind::WeakAcquire || *jrmw == RmwOp::Cas;
+                    if need_read && !jinst.read_satisfied(jop) {
                         return None;
                     }
                 }
-                InstOp::Fence(f) => {
+                Stmt::Fence(f) => {
                     if f.post.includes_writes() && !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Isb | InstOp::Assign { .. } => {}
+                Stmt::Isb | Stmt::Assign { .. } | Stmt::Seq(..) | Stmt::Skip => {}
             }
         }
         Some((loc, val))
@@ -1232,10 +1125,11 @@ impl FlatMachine {
     /// Returns the target location, or `None` if blocked.
     fn rmw_bind_ready(&self, tid: TId, idx: usize) -> Option<Loc> {
         let t = &self.threads[tid.0];
+        let code = &self.program.threads()[tid.0];
         let inst = &t.instances[idx];
-        let InstOp::Rmw {
+        let Stmt::Rmw {
             dst, expected, rk, ..
-        } = &inst.op
+        } = code.stmt(inst.stmt)
         else {
             return None;
         };
@@ -1246,8 +1140,9 @@ impl FlatMachine {
         }
         for j in (0..idx).rev() {
             let jinst = &t.instances[j];
-            match &jinst.op {
-                InstOp::Load { rk: jrk, .. } => {
+            let jop = code.stmt(jinst.stmt);
+            match jop {
+                Stmt::Load { kind: jrk, .. } => {
                     let jloc = self.addr_of(tid, j)?;
                     if *jrk >= ReadKind::WeakAcquire && !jinst.is_bound() {
                         return None; // acquire orders later reads
@@ -1256,7 +1151,7 @@ impl FlatMachine {
                         return None; // same-address reads bind in order
                     }
                 }
-                InstOp::Store { wk: jwk, .. } => {
+                Stmt::Store { kind: jwk, .. } => {
                     let jloc = self.addr_of(tid, j)?;
                     if *rk >= ReadKind::Acquire
                         && *jwk >= WriteKind::Release
@@ -1276,11 +1171,11 @@ impl FlatMachine {
                         return None; // no forwarding into an RMW
                     }
                 }
-                InstOp::Rmw {
+                Stmt::Rmw {
                     rk: jrk, wk: jwk, ..
                 } => {
                     let jloc = self.addr_of(tid, j)?;
-                    if *jrk >= ReadKind::WeakAcquire && !jinst.read_satisfied() {
+                    if *jrk >= ReadKind::WeakAcquire && !jinst.read_satisfied(jop) {
                         return None; // acquire read orders later reads
                     }
                     if *rk >= ReadKind::Acquire && *jwk >= WriteKind::Release && !jinst.is_bound() {
@@ -1290,17 +1185,21 @@ impl FlatMachine {
                         return None; // same-address accesses bind in order
                     }
                 }
-                InstOp::Fence(f) => {
+                Stmt::Fence(f) => {
                     if f.post.includes_reads() && !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Isb => {
+                Stmt::Isb => {
                     if !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Branch { .. } | InstOp::Assign { .. } => {}
+                Stmt::If { .. }
+                | Stmt::While { .. }
+                | Stmt::Assign { .. }
+                | Stmt::Seq(..)
+                | Stmt::Skip => {}
             }
         }
         Some(loc)
@@ -1319,14 +1218,15 @@ impl FlatMachine {
     /// later).
     fn rmw_propagate_ready(&self, tid: TId, idx: usize) -> Option<(Loc, Val)> {
         let t = &self.threads[tid.0];
+        let code = &self.program.threads()[tid.0];
         let inst = &t.instances[idx];
-        let InstOp::Rmw {
+        let Stmt::Rmw {
             op,
             dst,
             operand,
             wk,
             ..
-        } = &inst.op
+        } = code.stmt(inst.stmt)
         else {
             return None;
         };
@@ -1337,13 +1237,14 @@ impl FlatMachine {
         let opv = self.eval_at_with(tid, idx, operand, *dst, old)?;
         for j in (0..idx).rev() {
             let jinst = &t.instances[j];
-            match &jinst.op {
-                InstOp::Branch { .. } => {
+            let jop = code.stmt(jinst.stmt);
+            match jop {
+                Stmt::If { .. } | Stmt::While { .. } => {
                     if !jinst.is_bound() {
                         return None; // no speculative writes
                     }
                 }
-                InstOp::Load { rk: jrk, .. } => {
+                Stmt::Load { kind: jrk, .. } => {
                     let jloc = self.addr_of(tid, j)?;
                     let need_bound = jloc == loc
                         || *jrk >= ReadKind::WeakAcquire
@@ -1352,7 +1253,7 @@ impl FlatMachine {
                         return None;
                     }
                 }
-                InstOp::Store { .. } => {
+                Stmt::Store { .. } => {
                     let jloc = self.addr_of(tid, j)?;
                     let need_done = jloc == loc || *wk >= WriteKind::WeakRelease;
                     if need_done
@@ -1364,8 +1265,8 @@ impl FlatMachine {
                         return None;
                     }
                 }
-                InstOp::Rmw {
-                    op: jop, rk: jrk, ..
+                Stmt::Rmw {
+                    op: jrmw, rk: jrk, ..
                 } => {
                     let jloc = self.addr_of(tid, j)?;
                     let need_done = jloc == loc
@@ -1374,17 +1275,17 @@ impl FlatMachine {
                     if need_done && !jinst.is_bound() {
                         return None;
                     }
-                    let need_read = *jrk >= ReadKind::WeakAcquire || *jop == RmwOp::Cas;
-                    if need_read && !jinst.read_satisfied() {
+                    let need_read = *jrk >= ReadKind::WeakAcquire || *jrmw == RmwOp::Cas;
+                    if need_read && !jinst.read_satisfied(jop) {
                         return None;
                     }
                 }
-                InstOp::Fence(f) => {
+                Stmt::Fence(f) => {
                     if f.post.includes_writes() && !jinst.is_bound() {
                         return None;
                     }
                 }
-                InstOp::Isb | InstOp::Assign { .. } => {}
+                Stmt::Isb | Stmt::Assign { .. } | Stmt::Seq(..) | Stmt::Skip => {}
             }
         }
         Some((loc, op.apply(old, opv)))
@@ -1395,13 +1296,14 @@ impl FlatMachine {
     /// exclusive. Returns its read timestamp if it is bound.
     fn stx_pairing(&self, tid: TId, idx: usize) -> Option<Timestamp> {
         let t = &self.threads[tid.0];
+        let code = &self.program.threads()[tid.0];
         for j in (0..idx).rev() {
             let jinst = &t.instances[j];
-            match &jinst.op {
-                InstOp::Store {
+            match code.stmt(jinst.stmt) {
+                Stmt::Store {
                     exclusive: true, ..
                 } => return None, // interposed
-                InstOp::Rmw { .. } => {
+                Stmt::Rmw { .. } => {
                     // a successful RMW consumes the pairing bank (like an
                     // interposed store exclusive); a CAS compare failure
                     // leaves its read charged in the bank. A bound-but-
@@ -1414,7 +1316,7 @@ impl FlatMachine {
                         _ => None,
                     };
                 }
-                InstOp::Load {
+                Stmt::Load {
                     exclusive: true, ..
                 } => {
                     return match jinst.state {
@@ -1480,17 +1382,18 @@ impl FlatMachine {
             if inst.is_bound() {
                 continue;
             }
-            let relevant = match &inst.op {
-                InstOp::Load { .. } => reads,
-                InstOp::Store { .. } => !reads,
+            let op = code.stmt(inst.stmt);
+            let relevant = match op {
+                Stmt::Load { .. } => reads,
+                Stmt::Store { .. } => !reads,
                 // A bound-but-unpropagated RMW is a pending *append* but
                 // no longer a future read — its read half has already
                 // bound. The DPOR persistent sets rely on the write side
                 // staying conservative here.
-                InstOp::Rmw { .. } => !reads || !inst.read_satisfied(),
-                InstOp::Branch { alt_cont, .. } => {
+                Stmt::Rmw { .. } => !reads || !inst.read_satisfied(op),
+                Stmt::If { .. } | Stmt::While { .. } => {
                     // unresolved: a squash would refetch the other path
-                    for &id in alt_cont {
+                    for &id in &inst.alt_cont {
                         out.absorb(stmt_set(id));
                     }
                     false
@@ -1510,6 +1413,8 @@ impl FlatMachine {
     /// Enumerate the enabled nondeterministic transitions.
     pub fn enabled(&self) -> Vec<FlatTransition> {
         let mut out = Vec::new();
+        // the timestamp an append would take, for the pairing gates
+        let fresh = Timestamp(self.memory.max_timestamp().0 + 1);
         for tid in (0..self.threads.len()).map(TId) {
             let t = &self.threads[tid.0];
             if t.stuck {
@@ -1541,7 +1446,6 @@ impl FlatMachine {
                     // (if one has, the pairing failed and the propagate
                     // stays disabled).
                     if let Some((loc, _)) = self.rmw_propagate_ready(tid, idx) {
-                        let fresh = Timestamp(self.memory.max_timestamp().0 + 1);
                         if self.memory.atomic(loc, tid, tr, fresh) {
                             out.push(FlatTransition::PropagateRmw { tid, idx });
                         }
@@ -1551,28 +1455,25 @@ impl FlatMachine {
                 if inst.state != InstState::Pending {
                     continue;
                 }
-                match &inst.op {
-                    InstOp::Load { .. } if self.load_source(tid, idx).is_some() => {
+                match self.op(tid, inst.stmt) {
+                    Stmt::Load { .. } if self.load_source(tid, idx).is_some() => {
                         out.push(FlatTransition::Satisfy { tid, idx });
                     }
-                    InstOp::Rmw { .. } if self.rmw_bind_ready(tid, idx).is_some() => {
+                    Stmt::Rmw { .. } if self.rmw_bind_ready(tid, idx).is_some() => {
                         out.push(FlatTransition::BindRmw { tid, idx });
                     }
-                    InstOp::Store { exclusive, .. } => {
+                    Stmt::Store { exclusive, .. } => {
                         if *exclusive {
                             out.push(FlatTransition::FailStx { tid, idx });
                         }
-                        if self.store_ready(tid, idx).is_some() {
-                            if *exclusive {
-                                let fresh = Timestamp(self.memory.max_timestamp().0 + 1);
-                                if let Some(tr) = self.stx_pairing(tid, idx) {
-                                    if let Some((loc, _)) = self.store_ready(tid, idx) {
-                                        if self.memory.atomic(loc, tid, tr, fresh) {
-                                            out.push(FlatTransition::Propagate { tid, idx });
-                                        }
-                                    }
-                                }
-                            } else {
+                        if let Some((loc, _)) = self.store_ready(tid, idx) {
+                            // a store exclusive also needs its pairing
+                            // intact: no foreign write since the paired read
+                            if !*exclusive
+                                || self
+                                    .stx_pairing(tid, idx)
+                                    .is_some_and(|tr| self.memory.atomic(loc, tid, tr, fresh))
+                            {
                                 out.push(FlatTransition::Propagate { tid, idx });
                             }
                         }
@@ -1592,56 +1493,43 @@ impl FlatMachine {
     pub fn apply(&mut self, tr: &FlatTransition) {
         match tr {
             FlatTransition::FetchBranch { tid, taken } => {
-                let code = Arc::clone(&self.program);
-                let code = &code.threads()[tid.0];
+                let code = &self.program.threads()[tid.0];
                 let t = &mut self.threads[tid.0];
                 let top = *t.fetch_cont.last().expect("fetch point exists");
-                match code.stmt(top).clone() {
+                let mut alt = t.fetch_cont.clone();
+                match code.stmt(top) {
                     Stmt::If {
-                        cond,
                         then_branch,
                         else_branch,
+                        ..
                     } => {
-                        let mut alt = t.fetch_cont.clone();
-                        alt.pop();
-                        t.fetch_cont.pop();
-                        if *taken {
-                            alt.push(else_branch);
-                            t.fetch_cont.push(then_branch);
+                        let (go, other) = if *taken {
+                            (then_branch, else_branch)
                         } else {
-                            alt.push(then_branch);
-                            t.fetch_cont.push(else_branch);
-                        }
-                        t.instances.push(Instance::new(
-                            top,
-                            InstOp::Branch {
-                                cond,
-                                guess: *taken,
-                                alt_cont: alt,
-                            },
-                        ));
+                            (else_branch, then_branch)
+                        };
+                        alt.pop();
+                        alt.push(*other);
+                        t.fetch_cont.pop();
+                        t.fetch_cont.push(*go);
                     }
-                    Stmt::While { cond, body } => {
-                        let mut alt = t.fetch_cont.clone();
+                    Stmt::While { body, .. } => {
                         if *taken {
                             alt.pop(); // alternative: exit the loop
                             t.fetch_fuel -= 1;
-                            t.fetch_cont.push(body);
+                            t.fetch_cont.push(*body);
                         } else {
                             t.fetch_cont.pop(); // alternative: enter the loop
-                            alt.push(body);
+                            alt.push(*body);
                         }
-                        t.instances.push(Instance::new(
-                            top,
-                            InstOp::Branch {
-                                cond,
-                                guess: *taken,
-                                alt_cont: alt,
-                            },
-                        ));
                     }
                     other => panic!("fetch point is not a branch: {other:?}"),
                 }
+                t.instances.push(Instance {
+                    guess: *taken,
+                    alt_cont: alt,
+                    ..Instance::new(top)
+                });
             }
             FlatTransition::Satisfy { tid, idx } => {
                 let (src, val) = self
@@ -1663,8 +1551,8 @@ impl FlatMachine {
                 let loc = self
                     .rmw_bind_ready(*tid, *idx)
                     .expect("bind transition enabled");
-                let inst = self.threads[tid.0].instances[*idx].clone();
-                let InstOp::Rmw { dst, expected, .. } = &inst.op else {
+                let stmt = self.threads[tid.0].instances[*idx].stmt;
+                let Stmt::Rmw { dst, expected, .. } = self.op(*tid, stmt) else {
                     unreachable!("rmw transition targets an rmw instance");
                 };
                 // bind the read half to the coherence-latest write; the
@@ -1714,5 +1602,67 @@ impl FlatMachine {
             }
         }
         self.drain();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use promising_core::stmt::CodeBuilder;
+
+    /// `r1 = load(x); r2 = load(y); if (r1 == 1) { r3 = 5; store(z, 1) }
+    /// else { if (r2 == 1) skip else skip }`: the outer branch must be
+    /// guessed while `r1` is pending, and its else path stops at the
+    /// inner branch (pending on `r2`), so fetch after a squash cannot
+    /// run past the restored continuation.
+    fn speculating_thread() -> FlatMachine {
+        let mut b = CodeBuilder::new();
+        let l1 = b.load(Reg(1), Expr::val(0));
+        let l2 = b.load(Reg(2), Expr::val(1));
+        let a = b.assign(Reg(3), Expr::val(5));
+        let s = b.store(Expr::val(2), Expr::val(1));
+        let then_branch = b.seq(&[a, s]);
+        let (skip1, skip2) = (b.skip(), b.skip());
+        let inner = b.if_else(Expr::reg(Reg(2)).eq(Expr::val(1)), skip1, skip2);
+        let outer = b.if_else(Expr::reg(Reg(1)).eq(Expr::val(1)), then_branch, inner);
+        let code = b.finish_seq(&[l1, l2, outer]);
+        FlatMachine::new(Arc::new(Program::new(vec![code])), Config::arm())
+    }
+
+    #[test]
+    fn misspeculation_squash_restores_alt_cont() {
+        let mut m = speculating_thread();
+        let tid = TId(0);
+        m.apply(&FlatTransition::FetchBranch { tid, taken: true });
+        let t = &m.threads()[0];
+        // loads, the guessed branch, then the speculated assign and store
+        assert_eq!(t.instances.len(), 5);
+        assert_eq!(t.instances[3].state, InstState::Done { val: Val(5) });
+        let alt = t.instances[2].alt_cont.clone();
+        assert!(!alt.is_empty());
+        // r1 reads 0: the taken guess was wrong
+        m.apply(&FlatTransition::Satisfy { tid, idx: 0 });
+        let t = &m.threads()[0];
+        assert_eq!(t.instances.len(), 3, "younger instances truncated");
+        assert_eq!(t.fetch_cont, alt, "refetch from the other path");
+        let branch = &t.instances[2];
+        assert_eq!(branch.state, InstState::Resolved { taken: false });
+        assert!(!branch.guess);
+        assert!(branch.alt_cont.is_empty());
+    }
+
+    #[test]
+    fn correct_guess_resolves_in_place() {
+        let mut m = speculating_thread();
+        let tid = TId(0);
+        m.apply(&FlatTransition::FetchBranch { tid, taken: false });
+        let before = m.threads()[0].instances.clone();
+        m.apply(&FlatTransition::Satisfy { tid, idx: 0 });
+        let t = &m.threads()[0];
+        assert_eq!(t.instances.len(), before.len(), "nothing squashed");
+        let branch = &t.instances[2];
+        assert_eq!(branch.state, InstState::Resolved { taken: false });
+        assert!(!branch.guess);
+        assert_eq!(branch.alt_cont, before[2].alt_cont);
     }
 }

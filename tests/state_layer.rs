@@ -23,6 +23,10 @@
 //! * **Deep clones are behavioural no-ops** — `Machine::deep_clone`
 //!   (the benchmarking helper that unshares all COW structure) must not
 //!   change fingerprints or outcomes.
+//! * **Flat clones are isolated** — a `FlatMachine` clone shares its
+//!   program and per-statement operation table with its parent, so
+//!   stepping the clone must leave the parent's fingerprint, exact key
+//!   and enabled set untouched.
 
 use promising_core::{Config, Machine};
 use promising_explorer::{
@@ -460,6 +464,47 @@ fn deep_clone_preserves_fingerprint_and_behaviour() {
         explore_promise_first(&m).outcomes,
         explore_promise_first(&deep).outcomes
     );
+}
+
+#[test]
+fn flat_clone_apply_leaves_parent_unchanged() {
+    const STATES_PER_TEST: usize = 48;
+    for test in catalogue() {
+        for dpor in [true, false] {
+            let config = config_for(&test).with_dpor(dpor);
+            let root = FlatMachine::with_init(test.program.clone(), config, test.init.clone());
+            let mut frontier = std::collections::VecDeque::from([root]);
+            let mut walked = 0;
+            while let Some(parent) = frontier.pop_front() {
+                if walked == STATES_PER_TEST {
+                    break;
+                }
+                walked += 1;
+                let (fp, key, enabled) =
+                    (parent.fingerprint(), parent.state_key(), parent.enabled());
+                for t in &enabled {
+                    let mut child = parent.clone();
+                    child.apply(t);
+                    assert_eq!(
+                        parent.fingerprint(),
+                        fp,
+                        "{test} (dpor {dpor}): {t} on a clone"
+                    );
+                    assert_eq!(
+                        parent.state_key(),
+                        key,
+                        "{test} (dpor {dpor}): {t} on a clone"
+                    );
+                    assert_eq!(
+                        parent.enabled(),
+                        enabled,
+                        "{test} (dpor {dpor}): {t} on a clone"
+                    );
+                    frontier.push_back(child);
+                }
+            }
+        }
+    }
 }
 
 #[test]
