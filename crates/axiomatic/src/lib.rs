@@ -26,6 +26,7 @@
 //! # Ok::<(), promising_core::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exec;

@@ -3,6 +3,7 @@
 //! experiment index), plus the pre-optimisation [`legacy`] explorers used
 //! as the perf-trajectory baseline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

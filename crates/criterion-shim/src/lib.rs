@@ -16,6 +16,8 @@
 //!
 //! [`criterion`]: https://docs.rs/criterion
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 /// Re-export of [`std::hint::black_box`], mirroring criterion's helper.

@@ -8,10 +8,10 @@
 //! everything else:
 //!
 //! * the work frontier ([`crate::frontier::drive`]): serial LIFO stack or
-//!   per-worker work-stealing deques for `Config::workers > 1`;
+//!   per-worker locked queues with stealing for `Config::workers > 1`;
 //! * the sharded visited set with 128-bit fingerprint dedup (probed in
 //!   per-expansion batches) and the opt-in exact-key paranoid mode,
-//!   whose exact keys are interned in per-shard bump arenas;
+//!   whose exact keys are kept in a per-shard `Vec`;
 //! * per-worker caches (e.g. the naive strategy's shared [`CertMemo`]),
 //!   built once per worker and never crossing threads;
 //! * the [`SearchBudget`]: wall-clock deadline, global state budget, and
@@ -382,7 +382,7 @@ impl<M: SearchModel> Engine<M> {
         let total_bytes = AtomicU64::new(0);
         let config = self.model.config();
         // A visited-set entry is a `(Fingerprint, u32)` map slot plus, in
-        // paranoid mode, the exact key interned in the shard's arena.
+        // paranoid mode, the exact key stored in the shard's key vector.
         let entry_bytes = (std::mem::size_of::<Fingerprint>()
             + std::mem::size_of::<u32>()
             + VISITED_SLOT_OVERHEAD

@@ -103,10 +103,10 @@ pub struct Stats {
     /// survived sibling appends to out-of-scope locations (the
     /// incremental-recertification win; zero with `Config::dpor` off).
     pub cert_survived: u64,
-    /// States obtained by stealing from a sibling worker's deque (the
-    /// work-stealing frontier; zero on the serial path). A healthy
-    /// parallel run steals rarely relative to `states` — local pops
-    /// dominate — so this is the load-balance diagnostic, not a cost.
+    /// States obtained by stealing from the front of a sibling worker's
+    /// queue (zero on the serial path). A healthy parallel run steals
+    /// rarely relative to `states` — local pops dominate — so this is
+    /// the load-balance diagnostic, not a cost.
     pub steals: u64,
     /// Summed time workers spent expanding states (excludes time parked
     /// waiting for work), across all workers: total compute spent, not

@@ -46,6 +46,7 @@
 //! "Rust Atomics and Locks", and the C++ seq-cst classics, each with
 //! its documented expected outcome set on both architectures.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod build;

@@ -27,6 +27,7 @@
 //! harness checking that both compilations produce identical outcome
 //! sets under every engine.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -17,6 +17,7 @@
 //! # Ok::<(), promising_litmus::RunError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod catalogue;

@@ -18,6 +18,8 @@
 //!
 //! [`proptest`]: https://docs.rs/proptest
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Deterministic test-case RNG (xorshift64*).

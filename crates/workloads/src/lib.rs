@@ -11,6 +11,7 @@
 //! uninitialised elements) — the "incorrect states" the paper's tool
 //! reports.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chase_lev;

@@ -5,6 +5,8 @@
 //! package. Library users should depend on the individual crates
 //! (`promising-core`, `promising-explorer`, …) directly.
 
+#![forbid(unsafe_code)]
+
 pub use promising_axiomatic as axiomatic;
 pub use promising_core as core;
 pub use promising_explorer as explorer;
