@@ -63,7 +63,16 @@ fn legacy_promisable(
     // The seed's callers went through the full `find_and_certify`, which
     // also derived the certified first steps from the warm memo.
     let config = m.config();
-    for kind in enabled_steps(config, code, tid, m.thread(tid), m.memory()) {
+    let mut first_steps = Vec::new();
+    enabled_steps(
+        config,
+        code,
+        tid,
+        m.thread(tid),
+        m.memory(),
+        &mut first_steps,
+    );
+    for kind in first_steps {
         if engine.cut {
             break;
         }
@@ -132,7 +141,9 @@ impl LegacyCertEngine<'_> {
         let mut reached = thread.state.prom.is_empty();
         let mut qualified = BTreeSet::new();
         let config = self.m.config();
-        for kind in enabled_steps(config, self.code, self.tid, thread, memory) {
+        let mut steps = Vec::new();
+        enabled_steps(config, self.code, self.tid, thread, memory, &mut steps);
+        for kind in steps {
             if self.cut {
                 break;
             }
@@ -248,7 +259,7 @@ pub fn explore_promise_first_legacy(machine: &Machine, deadline: Option<Duration
 
         // Expand: all certified promises of all threads.
         for tid in (0..m.num_threads()).map(TId) {
-            let key = (tid, m.thread(tid).state.prom.clone(), m.memory().clone());
+            let key = (tid, prom_set(&m, tid), m.memory().clone());
             let promisable = match promise_cache.get(&key) {
                 Some(p) => p.clone(),
                 None => {
@@ -286,9 +297,16 @@ fn promise_key(m: &Machine) -> (Vec<BTreeSet<Timestamp>>, Memory) {
     let mut mem = m.memory().clone();
     mem.unshare(); // exact keys stored as private copies, as the seed did
     (
-        m.threads().iter().map(|t| t.state.prom.clone()).collect(),
+        (0..m.num_threads())
+            .map(|tid| prom_set(m, TId(tid)))
+            .collect(),
         mem,
     )
+}
+
+/// A thread's promise set as the `BTreeSet` the seed's exact keys held.
+fn prom_set(m: &Machine, tid: TId) -> BTreeSet<Timestamp> {
+    m.thread(tid).state.prom.iter().copied().collect()
 }
 
 /// Phase 2 with a fresh exact-keyed memo per (state, thread), as the
@@ -367,7 +385,16 @@ impl LegacyThreadDfs<'_> {
         } else if thread.state.stuck.is_some() {
             stats.bound_hits += 1;
         } else {
-            for kind in enabled_steps(self.m.config(), self.code, self.tid, thread, memory) {
+            let mut steps = Vec::new();
+            enabled_steps(
+                self.m.config(),
+                self.code,
+                self.tid,
+                thread,
+                memory,
+                &mut steps,
+            );
+            for kind in steps {
                 if kind.appends_write() {
                     continue; // non-promise mode: no new writes
                 }

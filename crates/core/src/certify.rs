@@ -156,7 +156,18 @@ impl CertMemo {
         self.map.is_empty()
     }
 
-    /// `(hits, misses, survived)` since creation. *Survived* hits are
+    /// Forget every entry and zero the counters, keeping the table's
+    /// allocation: a memo reset before each query answers and counts
+    /// exactly like a fresh one, without regrowing its table per query.
+    pub fn reset(&mut self) {
+        self.map.clear();
+        self.hits = 0;
+        self.misses = 0;
+        self.survived = 0;
+    }
+
+    /// `(hits, misses, survived)` since creation or the last
+    /// [`CertMemo::reset`]. *Survived* hits are
     /// restricted-key hits served in a different full-memory context
     /// than the one the entry was computed in — certificates that
     /// outlived sibling appends to out-of-scope locations.
@@ -288,19 +299,9 @@ pub fn find_and_certify_with(
     memo: &mut CertMemo,
     deadline: Option<Instant>,
 ) -> CertResult {
-    let code = &machine.program().threads()[tid.0];
-    let mut engine = Engine {
-        config: machine.config(),
-        code,
-        tid,
-        base_ts: machine.memory().max_timestamp(),
-        scope: cert_scope(machine, tid),
-        memo,
-        bound_hit: false,
-        deadline,
-        deadline_hit: false,
-        ticks: 0,
-    };
+    let scope = cert_scope(machine, tid);
+    let mut engine = Engine::new(machine, tid, scope.as_ref(), memo, deadline);
+    let code = engine.code;
     let root_thread = machine.thread(tid);
     let root_memory = machine.memory();
     let depth = machine.config().cert_depth;
@@ -309,8 +310,17 @@ pub fn find_and_certify_with(
 
     // Certified first steps: re-expand the root one step and query the memo
     // (already warm from the exploration above).
+    let mut first_steps = Vec::new();
+    enabled_steps(
+        machine.config(),
+        code,
+        tid,
+        root_thread,
+        root_memory,
+        &mut first_steps,
+    );
     let mut certified_first_steps = Vec::new();
-    for kind in enabled_steps(machine.config(), code, tid, root_thread, root_memory) {
+    for kind in first_steps {
         let mut th = root_thread.clone();
         let mut mem = root_memory.clone();
         apply_step(machine.config(), code, tid, &kind, &mut th, &mut mem)
@@ -339,19 +349,8 @@ pub fn find_promises_with(
     memo: &mut CertMemo,
     deadline: Option<Instant>,
 ) -> (BTreeSet<Msg>, bool) {
-    let code = &machine.program().threads()[tid.0];
-    let mut engine = Engine {
-        config: machine.config(),
-        code,
-        tid,
-        base_ts: machine.memory().max_timestamp(),
-        scope: cert_scope(machine, tid),
-        memo,
-        bound_hit: false,
-        deadline,
-        deadline_hit: false,
-        ticks: 0,
-    };
+    let scope = cert_scope(machine, tid);
+    let mut engine = Engine::new(machine, tid, scope.as_ref(), memo, deadline);
     let depth = machine.config().cert_depth;
     let (_, promisable) = engine.explore(machine.thread(tid), machine.memory(), depth);
     (promisable, engine.deadline_hit)
@@ -396,16 +395,42 @@ struct Engine<'a> {
     base_ts: Timestamp,
     /// The certifying thread's statically-known access scope, when it
     /// has one (see [`cert_scope`]): enables restricted-memory memo keys
-    /// at nodes with no cert-local appends yet.
-    scope: Option<BTreeSet<Loc>>,
+    /// at nodes with no cert-local appends yet. Borrowed from the query,
+    /// so a node reads it without copying.
+    scope: Option<&'a BTreeSet<Loc>>,
     memo: &'a mut CertMemo,
+    /// Step buffers of finished nodes, reused by the next ones: the DFS
+    /// allocates one buffer per depth level, not one per node.
+    step_bufs: Vec<Vec<TransitionKind>>,
     bound_hit: bool,
     deadline: Option<Instant>,
     deadline_hit: bool,
     ticks: u32,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
+    fn new(
+        machine: &'a Machine,
+        tid: TId,
+        scope: Option<&'a BTreeSet<Loc>>,
+        memo: &'a mut CertMemo,
+        deadline: Option<Instant>,
+    ) -> Engine<'a> {
+        Engine {
+            config: machine.config(),
+            code: &machine.program().threads()[tid.0],
+            tid,
+            base_ts: machine.memory().max_timestamp(),
+            scope,
+            memo,
+            step_bufs: Vec::new(),
+            bound_hit: false,
+            deadline,
+            deadline_hit: false,
+            ticks: 0,
+        }
+    }
+
     /// True once the deadline has passed (checked every
     /// [`DEADLINE_CHECK_PERIOD`] nodes; sticky once hit).
     fn out_of_time(&mut self) -> bool {
@@ -463,14 +488,14 @@ impl Engine<'_> {
         depth: u32,
     ) -> (bool, BTreeSet<Msg>) {
         let (tid, base_ts) = (self.tid, self.base_ts);
-        // Cloned out of `self` (the sets are tiny) so the exact-key
-        // closure below borrows no engine state across the recursion.
-        let restricted: Option<BTreeSet<Loc>> = if memory.max_timestamp() == base_ts {
-            self.scope.clone()
+        // A copy of the query-lifetime borrow, not of the set, so the
+        // exact-key closure below borrows no engine state across the
+        // recursion.
+        let restricted = if memory.max_timestamp() == base_ts {
+            self.scope
         } else {
             None
         };
-        let restricted = restricted.as_ref();
         let (fp, stamp) = match restricted {
             Some(scope) => (
                 CertMemo::restricted_key(tid, thread, memory, scope),
@@ -513,7 +538,9 @@ impl Engine<'_> {
         // engine-global sticky flag, to record it in the memo entry.
         let bound_before = std::mem::replace(&mut self.bound_hit, false);
 
-        for kind in enabled_steps(self.config, self.code, self.tid, thread, memory) {
+        let mut steps = self.step_bufs.pop().unwrap_or_default();
+        enabled_steps(self.config, self.code, self.tid, thread, memory, &mut steps);
+        for kind in &steps {
             if self.deadline_hit {
                 break;
             }
@@ -521,7 +548,7 @@ impl Engine<'_> {
             let mut mem = memory.clone();
             // Record the coherence view at the store's location *before*
             // the write, for the §B qualification check.
-            let ev = apply_step(self.config, self.code, self.tid, &kind, &mut th, &mut mem)
+            let ev = apply_step(self.config, self.code, self.tid, kind, &mut th, &mut mem)
                 .expect("enabled step must apply");
             let (sub_reached, sub_qualified) = self.explore(&th, &mem, depth - 1);
             if !sub_reached {
@@ -550,6 +577,8 @@ impl Engine<'_> {
                 }
             }
         }
+        steps.clear();
+        self.step_bufs.push(steps);
 
         let truncated = self.bound_hit;
         self.bound_hit |= bound_before;
@@ -937,6 +966,50 @@ mod tests {
         let a2 = find_and_certify_with(&m, TId(1), &mut shared, None);
         assert_eq!(a2, find_and_certify(&m, TId(1)));
         assert!(!shared.is_empty());
+    }
+
+    #[test]
+    fn reset_memo_answers_and_counts_like_a_fresh_one() {
+        // One memo reset before each query, over a sequence of distinct
+        // machine states, must give every query the same result and the
+        // same (hits, misses, survived) as a fresh memo.
+        let lb = Machine::new(
+            Arc::new(Program::new(vec![
+                lb_thread_dependent(),
+                lb_thread_independent(),
+            ])),
+            Config::arm(),
+        );
+        let mut lb_read = lb.clone();
+        lb_read
+            .apply(&Transition::new(
+                TId(1),
+                crate::machine::TransitionKind::Read { t: Timestamp::ZERO },
+            ))
+            .unwrap();
+        let branchy = branchy_machine();
+        let queries = [
+            (&branchy, TId(0)),
+            (&lb, TId(0)),
+            (&lb, TId(1)),
+            (&branchy, TId(1)),
+            (&lb_read, TId(1)),
+            (&branchy, TId(0)),
+        ];
+        let mut reused = CertMemo::for_config(&Config::arm());
+        for (i, (m, tid)) in queries.into_iter().enumerate() {
+            if i > 0 {
+                assert_ne!(reused.counters(), (0, 0, 0));
+            }
+            reused.reset();
+            assert!(reused.is_empty());
+            let got = find_and_certify_with(m, tid, &mut reused, None);
+            let mut fresh = CertMemo::for_config(m.config());
+            let want = find_and_certify_with(m, tid, &mut fresh, None);
+            assert_eq!(got, want, "query {i}");
+            assert_eq!(reused.counters(), fresh.counters(), "query {i}");
+            assert_eq!(reused.len(), fresh.len(), "query {i}");
+        }
     }
 
     #[test]

@@ -56,6 +56,7 @@ pub mod expr;
 pub mod fingerprint;
 pub mod footprint;
 pub mod ids;
+mod inline;
 pub mod lex;
 pub mod machine;
 pub mod memory;
@@ -75,6 +76,7 @@ pub use fingerprint::{
 };
 pub use footprint::{Footprint, LocSet};
 pub use ids::{Loc, Reg, TId, Timestamp, Val, View};
+pub use inline::InlineSet;
 pub use lex::{LocTable, Tokens};
 pub use machine::{
     apply_step, enabled_steps, Cont, Machine, StateKey, StepError, StepEvent, ThreadInstance,
@@ -87,4 +89,4 @@ pub use stmt::{
     desugar_program_rmws, desugar_rmws, AccessSet, CodeBuilder, Fence, MayAccess, Program,
     ReadKind, RmwOp, Stmt, StmtId, ThreadCode, WriteKind,
 };
-pub use thread::{ExclBank, Forward, RegFile, StuckReason, ThreadState};
+pub use thread::{ExclBank, Forward, PromSet, RegFile, StuckReason, ThreadState};

@@ -30,33 +30,63 @@ use std::sync::Arc;
 
 /// A continuation: the stack of statement ids still to run (next on top).
 ///
-/// The stack is behind an [`Arc`] with copy-on-write mutation, so
-/// cloning a thread — which exploration does once per transition — is a
-/// reference-count bump; only the acting thread's stack is ever copied.
-/// Reads go through [`Deref`] to `[StmtId]`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct Cont(Arc<Vec<StmtId>>);
+/// The stack is a shared buffer plus a live length: the first `len` ids
+/// are the continuation, anything above them is dead. Cloning a thread —
+/// which exploration does once per transition — is a reference-count
+/// bump. [`Cont::pop`] only shortens the live length, so it never copies.
+/// [`Cont::push`] reuses the slot above the live stack when it already
+/// holds that id (a one-statement loop body pushed again after the last
+/// iteration popped it); otherwise it writes the buffer, copying the live
+/// stack first when the buffer is shared. Equality, hashing and iteration see only
+/// the live stack, through [`Deref`] to `[StmtId]`.
+#[derive(Clone)]
+pub struct Cont {
+    stack: Arc<Vec<StmtId>>,
+    len: usize,
+}
 
 impl Cont {
     /// A continuation from the given stack (next statement last).
     pub fn new(stack: Vec<StmtId>) -> Cont {
-        Cont(Arc::new(stack))
+        let len = stack.len();
+        Cont {
+            stack: Arc::new(stack),
+            len,
+        }
     }
 
-    /// Push a statement on top. Copy-on-write.
+    /// Push a statement on top. Copies the live stack only when the slot
+    /// above it holds a different id and the buffer is shared.
     pub fn push(&mut self, s: StmtId) {
-        Arc::make_mut(&mut self.0).push(s);
+        if self.stack.get(self.len) != Some(&s) {
+            match Arc::get_mut(&mut self.stack) {
+                Some(stack) => {
+                    stack.truncate(self.len);
+                    stack.push(s);
+                }
+                None => {
+                    // slack for the pushes a normalisation usually makes
+                    // next, so they do not reallocate
+                    let mut stack = Vec::with_capacity(self.len + 4);
+                    stack.extend_from_slice(&self.stack[..self.len]);
+                    stack.push(s);
+                    self.stack = Arc::new(stack);
+                }
+            }
+        }
+        self.len += 1;
     }
 
-    /// Pop the top statement. Copy-on-write.
+    /// Pop the top statement. Never copies.
     pub fn pop(&mut self) -> Option<StmtId> {
-        Arc::make_mut(&mut self.0).pop()
+        self.len = self.len.checked_sub(1)?;
+        Some(self.stack[self.len])
     }
 
-    /// Force a private copy of the stack (see [`Machine::deep_clone`]).
+    /// Force a private copy of the live stack (see [`Machine::deep_clone`]).
     #[doc(hidden)]
     pub fn unshare(&mut self) {
-        Arc::make_mut(&mut self.0);
+        self.stack = Arc::new(self.to_vec());
     }
 }
 
@@ -64,7 +94,27 @@ impl Deref for Cont {
     type Target = [StmtId];
 
     fn deref(&self) -> &[StmtId] {
-        &self.0
+        &self.stack[..self.len]
+    }
+}
+
+impl PartialEq for Cont {
+    fn eq(&self, other: &Cont) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Cont {}
+
+impl std::hash::Hash for Cont {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl fmt::Debug for Cont {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Cont").field(&&**self).finish()
     }
 }
 
@@ -382,7 +432,16 @@ impl Machine {
     /// promises, no certification filtering).
     pub fn thread_steps(&self, tid: TId) -> Vec<TransitionKind> {
         let code = &self.program.threads()[tid.0];
-        enabled_steps(&self.config, code, tid, &self.threads[tid.0], &self.memory)
+        let mut steps = Vec::new();
+        enabled_steps(
+            &self.config,
+            code,
+            tid,
+            &self.threads[tid.0],
+            &self.memory,
+            &mut steps,
+        );
+        steps
     }
 
     /// Whether `tid`'s only enabled thread-local step is the
@@ -717,17 +776,15 @@ fn store_pre_view(
 /// Timestamps a load of `loc` may read from (the `read` rule's side
 /// conditions): the latest same-location write at or below
 /// `νpre ⊔ coh(loc)`, and every same-location write above that bound.
-pub(crate) fn read_candidates(
+fn read_candidates<'m>(
     state: &ThreadState,
-    memory: &Memory,
+    memory: &'m Memory,
     loc: Loc,
     v_pre: View,
-) -> Vec<Timestamp> {
+) -> impl Iterator<Item = Timestamp> + 'm {
     let bound = v_pre.join(state.coh(loc));
     let tmin = memory.latest_write_at_most(loc, bound.timestamp());
-    let mut out = vec![tmin];
-    out.extend(memory.writes_to(loc).filter(|t| t.0 > bound.0));
-    out
+    std::iter::once(tmin).chain(memory.writes_to(loc).filter(move |t| t.0 > bound.0))
 }
 
 /// The state update of the `read` rule (Fig. 5), shared by `Load` and the
@@ -843,37 +900,40 @@ fn cas_expected(regs: &RegFile, dst: Reg, old: Val, expected: &Expr) -> Val {
 }
 
 /// Classify and enumerate the enabled thread-local steps of one thread
-/// against a memory, outside a full machine. Exploration engines use this
-/// to run threads in isolation (certification, promise-first phase 2).
+/// against a memory, outside a full machine, appending them to `out`.
+/// Exploration engines use this to run threads in isolation
+/// (certification, promise-first phase 2), reusing one buffer per search
+/// depth so enumerating a node's steps allocates nothing.
 pub fn enabled_steps(
     config: &Config,
     code: &ThreadCode,
     tid: TId,
     thread: &ThreadInstance,
     memory: &Memory,
-) -> Vec<TransitionKind> {
+    out: &mut Vec<TransitionKind>,
+) {
     if thread.state.stuck.is_some() {
-        return Vec::new();
+        return;
     }
     let Some(&top) = thread.cont.last() else {
-        return Vec::new();
+        return;
     };
     let state = &thread.state;
     match code.stmt(top) {
         Stmt::Skip | Stmt::Seq(..) => unreachable!("continuation is normalized"),
         Stmt::Assign { .. } | Stmt::Fence(_) | Stmt::Isb | Stmt::If { .. } | Stmt::While { .. } => {
-            vec![TransitionKind::Internal]
+            out.push(TransitionKind::Internal);
         }
         Stmt::Load { addr, kind, .. } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let v_pre = load_pre_view(state, *kind, v_addr);
-            read_candidates(state, memory, loc, v_pre)
-                .into_iter()
-                .map(|t| TransitionKind::Read { t })
-                .collect()
+            out.extend(
+                read_candidates(state, memory, loc, v_pre).map(|t| TransitionKind::Read { t }),
+            );
         }
         Stmt::Store {
             addr,
@@ -884,12 +944,12 @@ pub fn enabled_steps(
         } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let (val, v_data) = data.eval(&state.regs);
             let v_pre = store_pre_view(config.arch, state, *kind, *exclusive, v_addr, v_data);
             let floor = v_pre.join(state.coh(loc));
-            let mut out = Vec::new();
             // Fulfil an outstanding promise with a matching message.
             for &t in &state.prom {
                 if floor.timestamp() >= t {
@@ -924,7 +984,6 @@ pub fn enabled_steps(
             if *exclusive {
                 out.push(TransitionKind::ExclFail);
             }
-            out
         }
         Stmt::Rmw {
             op,
@@ -938,10 +997,10 @@ pub fn enabled_steps(
         } => {
             let (loc, v_addr) = eval_addr(addr, state);
             if !config.shared.is_shared(loc) {
-                return vec![TransitionKind::Internal];
+                out.push(TransitionKind::Internal);
+                return;
             }
             let v_pre = load_pre_view(state, *rk, v_addr);
-            let mut out = Vec::new();
             for tr in read_candidates(state, memory, loc, v_pre) {
                 let old = memory.read(loc, tr).expect("candidate reads back");
                 // simulate the read half on a (structurally-shared) copy
@@ -986,7 +1045,6 @@ pub fn enabled_steps(
                     out.push(TransitionKind::Rmw { tr, tw: None });
                 }
             }
-            out
         }
     }
 }
@@ -1879,5 +1937,75 @@ mod tests {
             .unwrap();
         assert_eq!(m.thread(TId(0)).state.regs.value(Reg(1)), Val(9));
         assert!(m.memory().is_empty());
+    }
+
+    /// `(==, Hash, feed)` witnesses of a continuation: the std hash and
+    /// the fingerprint of a thread instance running it.
+    fn cont_identity(c: &Cont) -> (u64, Fingerprint) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut std_hash = DefaultHasher::new();
+        c.hash(&mut std_hash);
+        let mut fp = FpHasher::new();
+        ThreadInstance {
+            cont: c.clone(),
+            state: ThreadState::new(0),
+        }
+        .feed(&mut fp);
+        (std_hash.finish(), fp.finish128())
+    }
+
+    fn ids(xs: &[u32]) -> Vec<StmtId> {
+        xs.iter().map(|&x| StmtId(x)).collect()
+    }
+
+    fn assert_same_as_fresh(c: &Cont, live: &[u32]) {
+        let fresh = Cont::new(ids(live));
+        assert_eq!(&**c, &ids(live)[..]);
+        assert_eq!(*c, fresh);
+        assert_eq!(cont_identity(c), cont_identity(&fresh));
+        assert_eq!(format!("{c:?}"), format!("{fresh:?}"));
+    }
+
+    #[test]
+    fn cont_clone_pop_push_leaves_original_unchanged() {
+        let orig = Cont::new(ids(&[1, 2, 3]));
+        let mut c = orig.clone();
+        assert_eq!(c.pop(), Some(StmtId(3)));
+        c.push(StmtId(9));
+        assert!(
+            !Arc::ptr_eq(&c.stack, &orig.stack),
+            "a different id over a shared stack must copy"
+        );
+        assert_same_as_fresh(&orig, &[1, 2, 3]);
+        assert_same_as_fresh(&c, &[1, 2, 9]);
+        // popping below a shared slot and pushing again also leaves the
+        // original alone
+        let mut d = orig.clone();
+        d.pop();
+        d.pop();
+        d.push(StmtId(7));
+        d.push(StmtId(3));
+        assert_same_as_fresh(&orig, &[1, 2, 3]);
+        assert_same_as_fresh(&d, &[1, 7, 3]);
+    }
+
+    #[test]
+    fn cont_repush_of_same_id_reuses_slot() {
+        let orig = Cont::new(ids(&[1, 2, 3]));
+        let mut c = orig.clone();
+        assert_eq!(c.pop(), Some(StmtId(3)));
+        // the popped slot is dead but still in the shared buffer
+        assert_same_as_fresh(&c, &[1, 2]);
+        c.push(StmtId(3));
+        assert!(
+            Arc::ptr_eq(&c.stack, &orig.stack),
+            "re-pushing the id the slot holds must not copy"
+        );
+        assert_same_as_fresh(&c, &[1, 2, 3]);
+        assert_same_as_fresh(&orig, &[1, 2, 3]);
+        // an empty continuation pops nothing
+        let mut e = Cont::new(Vec::new());
+        assert_eq!(e.pop(), None);
+        assert_same_as_fresh(&e, &[]);
     }
 }

@@ -3,17 +3,36 @@
 //! A thread state holds the promise set, the register file (values *with
 //! views*, rule r8), the per-location coherence view (r11), the six scalar
 //! views (`vrOld`, `vwOld`, `vrNew`, `vwNew`, `vCAP`, `vRel`), the forward
-//! bank (r13) and the exclusives bank (ρ8). All collections are ordered
-//! (`BTreeMap`/`BTreeSet`) so states hash and compare deterministically for
-//! state-space deduplication.
+//! bank (r13) and the exclusives bank (ρ8). The promise set and the
+//! maps are held inline up to a small capacity, sized from the bank
+//! sizes the benchmark rows reach, and spill to the heap past it
+//! ([`InlineSet`], `InlineMap`). They iterate in key order whatever
+//! their representation, so states hash, compare and fingerprint
+//! deterministically for state-space deduplication.
 
 use crate::config::Arch;
 use crate::fingerprint::FpHasher;
 use crate::ids::{Loc, Reg, Timestamp, Val, View};
+use crate::inline::{InlineMap, InlineSet};
 use crate::stmt::ReadKind;
-use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+/// Registers held inline before a register file spills to the heap.
+const REGS_INLINE: usize = 8;
+/// Promises held inline before a promise set spills to the heap.
+const PROMS_INLINE: usize = 4;
+/// Coherence-view entries held inline.
+const COH_INLINE: usize = 4;
+/// Forward-bank entries held inline.
+const FWDB_INLINE: usize = 4;
+/// Private-memory entries held inline.
+const LOCAL_INLINE: usize = 2;
+
+/// A thread's outstanding promises (timestamps), in ascending order.
+pub type PromSet = InlineSet<Timestamp, PROMS_INLINE>;
+
+type RegMap = InlineMap<Reg, (Val, View), REGS_INLINE>;
 
 /// The register state `regs : Reg → Val × V` (r8): every register holds a
 /// value and the view that was required to produce it.
@@ -21,9 +40,19 @@ use std::sync::Arc;
 /// The map is behind an [`Arc`] with copy-on-write mutation: cloning a
 /// thread state (once per explored transition) is a reference-count
 /// bump, and [`RegFile::set`] copies the map only when it is shared.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+/// Every fresh register file shares one empty map.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct RegFile {
-    regs: Arc<BTreeMap<Reg, (Val, View)>>,
+    regs: Arc<RegMap>,
+}
+
+impl Default for RegFile {
+    fn default() -> RegFile {
+        static EMPTY: OnceLock<Arc<RegMap>> = OnceLock::new();
+        RegFile {
+            regs: Arc::clone(EMPTY.get_or_init(Arc::default)),
+        }
+    }
 }
 
 impl RegFile {
@@ -47,9 +76,9 @@ impl RegFile {
         Arc::make_mut(&mut self.regs).insert(r, (v, view));
     }
 
-    /// Iterate over explicitly-written registers.
+    /// Iterate over explicitly-written registers, in register order.
     pub fn iter(&self) -> impl Iterator<Item = (Reg, Val, View)> + '_ {
-        self.regs.iter().map(|(&r, &(v, n))| (r, v, n))
+        self.regs.iter().map(|&(r, (v, n))| (r, v, n))
     }
 }
 
@@ -95,16 +124,31 @@ pub enum StuckReason {
     LoopBoundExceeded,
 }
 
+/// The per-location banks of a thread state, kept together behind one
+/// [`Arc`] so a thread-state clone bumps one reference count for all
+/// three and a step copies them only when it writes one while shared.
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+struct Banks {
+    /// Per-location coherence view (r11); defaults to 0.
+    coh: InlineMap<Loc, View, COH_INLINE>,
+    /// Forward bank (r13); defaults to the initial entry.
+    fwdb: InlineMap<Loc, Forward, FWDB_INLINE>,
+    /// Thread-private memory for non-shared locations (§7 optimisation):
+    /// value and view of the last private write per location.
+    local: InlineMap<Loc, (Val, View), LOCAL_INLINE>,
+}
+
 /// A thread state (`ts ∈ TState`, Fig. 4).
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ThreadState {
     /// Outstanding promises: timestamps of promised-but-unfulfilled writes
     /// (r17).
-    pub prom: BTreeSet<Timestamp>,
+    pub prom: PromSet,
     /// Register file with views (r8).
     pub regs: RegFile,
-    /// Per-location coherence view (r11); defaults to 0. Copy-on-write.
-    coh: Arc<BTreeMap<Loc, View>>,
+    /// Coherence view, forward bank and private memory. Copy-on-write;
+    /// every initial state shares one empty bank set.
+    banks: Arc<Banks>,
     /// Maximal post-view of all loads executed so far (r5).
     pub vr_old: View,
     /// Maximal post-view of all stores executed so far (r5).
@@ -117,16 +161,10 @@ pub struct ThreadState {
     pub v_cap: View,
     /// Maximal post-view of strong releases executed so far (ρ3).
     pub v_rel: View,
-    /// Forward bank (r13); defaults to the initial entry. Copy-on-write.
-    fwdb: Arc<BTreeMap<Loc, Forward>>,
     /// Exclusives bank (ρ8).
     pub xclb: Option<ExclBank>,
     /// Remaining taken-loop-iteration budget.
     pub fuel: u32,
-    /// Thread-private memory for non-shared locations (§7 optimisation):
-    /// value and view of the last private write per location.
-    /// Copy-on-write.
-    local: Arc<BTreeMap<Loc, (Val, View)>>,
     /// Set when the thread ran out of loop fuel.
     pub stuck: Option<StuckReason>,
 }
@@ -135,61 +173,60 @@ impl ThreadState {
     /// Initial thread state with the given loop budget: all views 0, no
     /// promises, empty banks.
     pub fn new(fuel: u32) -> ThreadState {
+        static EMPTY: OnceLock<Arc<Banks>> = OnceLock::new();
         ThreadState {
-            prom: BTreeSet::new(),
+            prom: PromSet::new(),
             regs: RegFile::new(),
-            coh: Arc::new(BTreeMap::new()),
+            banks: Arc::clone(EMPTY.get_or_init(Arc::default)),
             vr_old: View::ZERO,
             vw_old: View::ZERO,
             vr_new: View::ZERO,
             vw_new: View::ZERO,
             v_cap: View::ZERO,
             v_rel: View::ZERO,
-            fwdb: Arc::new(BTreeMap::new()),
             xclb: None,
             fuel,
-            local: Arc::new(BTreeMap::new()),
             stuck: None,
         }
     }
 
     /// The coherence view `coh(l)` (r11), defaulting to 0.
     pub fn coh(&self, l: Loc) -> View {
-        self.coh.get(&l).copied().unwrap_or(View::ZERO)
+        self.banks.coh.get(&l).copied().unwrap_or(View::ZERO)
     }
 
-    /// Join `v` into `coh(l)`. Copy-on-write.
+    /// Join `v` into `coh(l)` (recording an entry even when the join is
+    /// 0). Copy-on-write.
     pub fn bump_coh(&mut self, l: Loc, v: View) {
-        let coh = Arc::make_mut(&mut self.coh);
-        let e = coh.entry(l).or_insert(View::ZERO);
-        *e = e.join(v);
+        let joined = self.coh(l).join(v);
+        Arc::make_mut(&mut self.banks).coh.insert(l, joined);
     }
 
     /// The forward-bank entry `fwdb(l)` (r13), defaulting to the initial
     /// entry (r15).
     pub fn fwd(&self, l: Loc) -> Forward {
-        self.fwdb.get(&l).copied().unwrap_or_default()
+        self.banks.fwdb.get(&l).copied().unwrap_or_default()
     }
 
     /// Overwrite the forward-bank entry for `l` (r14). Copy-on-write.
     pub fn set_fwd(&mut self, l: Loc, f: Forward) {
-        Arc::make_mut(&mut self.fwdb).insert(l, f);
+        Arc::make_mut(&mut self.banks).fwdb.insert(l, f);
     }
 
     /// The thread-private value and view of non-shared location `l`, if
     /// the thread has written it (§7 optimisation).
     pub fn local(&self, l: Loc) -> Option<(Val, View)> {
-        self.local.get(&l).copied()
+        self.banks.local.get(&l).copied()
     }
 
     /// Write to thread-private (non-shared) location `l`. Copy-on-write.
     pub fn set_local(&mut self, l: Loc, v: Val, view: View) {
-        Arc::make_mut(&mut self.local).insert(l, (v, view));
+        Arc::make_mut(&mut self.banks).local.insert(l, (v, view));
     }
 
     /// Iterate over the thread-private memory entries.
     pub fn local_entries(&self) -> impl Iterator<Item = (Loc, Val, View)> + '_ {
-        self.local.iter().map(|(&l, &(v, n))| (l, v, n))
+        self.banks.local.iter().map(|&(l, (v, n))| (l, v, n))
     }
 
     /// The `read-view(a, rk, f, t)` function of Fig. 5: when a load reads
@@ -215,12 +252,13 @@ impl ThreadState {
 
     /// Iterate over the explicit coherence entries.
     pub fn coh_entries(&self) -> impl Iterator<Item = (Loc, View)> + '_ {
-        self.coh.iter().map(|(&l, &v)| (l, v))
+        self.banks.coh.iter().copied()
     }
 
-    /// Fold the full thread state into a state fingerprint. All maps are
-    /// ordered (`BTreeMap`/`BTreeSet`), so the encoding is canonical.
+    /// Fold the full thread state into a state fingerprint. Every set and
+    /// map iterates in key order, so the encoding is canonical.
     pub fn feed(&self, h: &mut FpHasher) {
+        let banks = &*self.banks;
         h.write_len(self.prom.len());
         for t in &self.prom {
             h.write_u32(t.0);
@@ -231,8 +269,8 @@ impl ThreadState {
             h.write_i64(v.0);
             h.write_u32(n.0);
         }
-        h.write_len(self.coh.len());
-        for (l, v) in self.coh.iter() {
+        h.write_len(banks.coh.len());
+        for (l, v) in banks.coh.iter() {
             h.write_u64(l.0);
             h.write_u32(v.0);
         }
@@ -242,8 +280,8 @@ impl ThreadState {
         h.write_u32(self.vw_new.0);
         h.write_u32(self.v_cap.0);
         h.write_u32(self.v_rel.0);
-        h.write_len(self.fwdb.len());
-        for (l, f) in self.fwdb.iter() {
+        h.write_len(banks.fwdb.len());
+        for (l, f) in banks.fwdb.iter() {
             h.write_u64(l.0);
             h.write_u32(f.time.0);
             h.write_u32(f.view.0);
@@ -258,8 +296,8 @@ impl ThreadState {
             }
         }
         h.write_u32(self.fuel);
-        h.write_len(self.local.len());
-        for (l, (v, n)) in self.local.iter() {
+        h.write_len(banks.local.len());
+        for (l, (v, n)) in banks.local.iter() {
             h.write_u64(l.0);
             h.write_i64(v.0);
             h.write_u32(n.0);
@@ -272,9 +310,7 @@ impl ThreadState {
     #[doc(hidden)]
     pub fn unshare(&mut self) {
         Arc::make_mut(&mut self.regs.regs);
-        Arc::make_mut(&mut self.coh);
-        Arc::make_mut(&mut self.fwdb);
-        Arc::make_mut(&mut self.local);
+        Arc::make_mut(&mut self.banks);
     }
 }
 
@@ -387,5 +423,68 @@ mod tests {
     fn registers_default_to_zero_at_view_zero() {
         let rf = RegFile::new();
         assert_eq!(rf.get(Reg(7)), (Val(0), View::ZERO));
+    }
+
+    fn identity(ts: &ThreadState) -> (u64, crate::fingerprint::Fingerprint) {
+        use std::hash::{DefaultHasher, Hash, Hasher};
+        let mut std_hash = DefaultHasher::new();
+        ts.hash(&mut std_hash);
+        let mut fp = FpHasher::new();
+        ts.feed(&mut fp);
+        (std_hash.finish(), fp.finish128())
+    }
+
+    #[test]
+    fn spilled_banks_compare_and_feed_like_inline_ones() {
+        // promises: five (spilled), then three fulfilled, against the
+        // same two made directly (inline)
+        let mut spilled = ThreadState::new(10);
+        for t in 1..=5 {
+            spilled.prom.insert(Timestamp(t));
+        }
+        assert!(spilled.prom.spilled());
+        for t in [2, 3, 4] {
+            spilled.prom.remove(&Timestamp(t));
+        }
+        let mut inline = ThreadState::new(10);
+        inline.prom.insert(Timestamp(5));
+        inline.prom.insert(Timestamp(1));
+        assert!(!inline.prom.spilled());
+        assert_eq!(spilled, inline);
+        assert_eq!(identity(&spilled), identity(&inline));
+
+        // registers and coherence entries past their inline capacity,
+        // written in opposite orders
+        let (mut up, mut down) = (ThreadState::new(10), ThreadState::new(10));
+        let n = REGS_INLINE as u32 + 1;
+        for i in 0..n {
+            up.regs.set(Reg(i), Val(i64::from(i)), View(i));
+            up.bump_coh(Loc(u64::from(i)), View(i));
+            let j = n - 1 - i;
+            down.regs.set(Reg(j), Val(i64::from(j)), View(j));
+            down.bump_coh(Loc(u64::from(j)), View(j));
+        }
+        assert!(up.regs.regs.spilled() && up.banks.coh.spilled());
+        assert_eq!(up, down);
+        assert_eq!(identity(&up), identity(&down));
+        assert!(up.regs.iter().map(|(r, _, _)| r.0).eq(0..n));
+        assert!(up.coh_entries().map(|(l, _)| l.0).eq(0..u64::from(n)));
+    }
+
+    #[test]
+    fn initial_states_share_their_empty_banks() {
+        let (a, b) = (ThreadState::new(1), ThreadState::new(2));
+        assert!(Arc::ptr_eq(&a.banks, &b.banks));
+        assert!(Arc::ptr_eq(&a.regs.regs, &b.regs.regs));
+        let mut c = a.clone();
+        c.bump_coh(Loc(1), View(1));
+        assert!(!Arc::ptr_eq(&a.banks, &c.banks));
+        assert_eq!(a.coh(Loc(1)), View::ZERO);
+    }
+
+    #[test]
+    fn thread_state_stays_small() {
+        // the banks sit behind one `Arc`; only the promise set is inline
+        assert!(std::mem::size_of::<ThreadState>() <= 96);
     }
 }

@@ -22,10 +22,13 @@
 //! fingerprint of (per-thread promise sets, memory); the phase-2
 //! all-threads-completable check is the model's *outcome* hook, run on
 //! every promise-mode state. Certification and the phase-2 per-thread
-//! searches are memoised *within* each state's work (fingerprint keys);
-//! unlike the naive strategy, the memos are not shared across states —
+//! searches are memoised *within* each query's work (fingerprint keys);
+//! unlike the naive strategy, entries are not shared across states —
 //! every promise-mode state has a distinct memory, so cross-state keys
 //! could never hit and a shared table would only grow without bound.
+//! Each worker owns one certification memo and one phase-2 memo and
+//! resets them (entries and counters) before every query, so the tables
+//! are allocated once per worker rather than once per query.
 //! `Config::workers > 1` explores the promise frontier in parallel with
 //! identical outcome sets.
 
@@ -37,7 +40,7 @@ use promising_core::Outcome;
 use promising_core::Transition;
 use promising_core::{
     apply_step, enabled_steps, find_promises_with, CertMemo, Config, Fingerprint, Footprint,
-    FpHashMap, FpHasher, Machine, Memory, Reg, ThreadInstance, Timestamp, TransitionKind,
+    FpHashMap, FpHasher, Machine, Memory, PromSet, Reg, ThreadInstance, TransitionKind,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -47,7 +50,7 @@ type RegMap = BTreeMap<Reg, promising_core::Val>;
 
 /// Exact promise-mode state identity (paranoid dedup): the per-thread
 /// promise sets and the memory — the only parts that change in phase 1.
-type PromiseKey = (Vec<BTreeSet<Timestamp>>, Memory);
+type PromiseKey = (Vec<PromSet>, Memory);
 
 fn promise_fp(m: &Machine) -> Fingerprint {
     let mut h = FpHasher::new();
@@ -128,17 +131,41 @@ impl Phase2Memo {
         let exact = self.paranoid.then(|| (tid, thread.clone(), memory.clone()));
         self.map.insert(fp, (exact, value));
     }
+
+    /// Forget every entry, keeping the table's allocation.
+    fn reset(&mut self) {
+        self.map.clear();
+    }
 }
 
-/// Per-worker cache for the promise-first model. Under the exhaustive
-/// scheduler it is empty: dedup guarantees every promise-mode state is
-/// expanded once, and distinct states have distinct memories, so a
-/// cross-state phase-2 memo could never hit and would only grow. Under
-/// the sampling scheduler there is no visited set — walks revisit the
-/// root and shared promise prefixes on every trace — so a shared
-/// phase-2 memo turns those repeated per-thread searches into lookups.
+/// Per-worker memo tables for the promise-first model, allocated once
+/// per worker and reused by every query it runs.
+///
+/// The certification memo is reset before each thread's promise
+/// enumeration, so its keys, hits and misses are per query, as with a
+/// fresh memo. Under the exhaustive scheduler the phase-2 memo is reset
+/// before each promise-mode state: dedup guarantees every state is
+/// expanded once, and distinct states have distinct memories, so
+/// cross-state entries could never hit and would only grow. Under the
+/// sampling scheduler there is no visited set — walks revisit the root
+/// and shared promise prefixes on every trace — so the phase-2 memo
+/// keeps its entries across walks and turns those repeated per-thread
+/// searches into lookups.
 pub struct PromiseFirstCache {
-    shared_phase2: Option<Phase2Memo>,
+    cert: CertMemo,
+    phase2: Phase2Memo,
+    /// Whether `phase2` keeps its entries across states (sampling).
+    keep_phase2: bool,
+}
+
+impl PromiseFirstCache {
+    fn new(config: &Config, keep_phase2: bool) -> PromiseFirstCache {
+        PromiseFirstCache {
+            cert: CertMemo::for_config(config),
+            phase2: Phase2Memo::new(config.paranoid),
+            keep_phase2,
+        }
+    }
 }
 
 /// The promise-first strategy as a [`SearchModel`]: states are promise-mode
@@ -179,15 +206,11 @@ impl SearchModel for PromiseFirstModel {
     }
 
     fn cache(&self) -> PromiseFirstCache {
-        PromiseFirstCache {
-            shared_phase2: None,
-        }
+        PromiseFirstCache::new(self.config(), false)
     }
 
     fn walk_cache(&self) -> PromiseFirstCache {
-        PromiseFirstCache {
-            shared_phase2: Some(Phase2Memo::new(self.config().paranoid)),
-        }
+        PromiseFirstCache::new(self.config(), true)
     }
 
     fn fingerprint(&self, s: &Machine) -> Fingerprint {
@@ -207,23 +230,18 @@ impl SearchModel for PromiseFirstModel {
         out: &mut BTreeSet<Outcome>,
     ) {
         // Phase-2 check: is this memory final (all threads completable)?
-        let config = self.config();
         let mem_fp = {
             let mut h = FpHasher::new();
             m.memory().feed(&mut h);
             h.finish128()
         };
-        // Per-state memo when exhaustive, worker-shared when sampling
+        // Per-state entries when exhaustive, walk-shared when sampling
         // (the memo key includes the memory fingerprint, so sharing is
         // sound either way — see `PromiseFirstCache`).
-        let mut local_phase2;
-        let phase2 = match cache.shared_phase2.as_mut() {
-            Some(shared) => shared,
-            None => {
-                local_phase2 = Phase2Memo::new(config.paranoid);
-                &mut local_phase2
-            }
-        };
+        if !cache.keep_phase2 {
+            cache.phase2.reset();
+        }
+        let phase2 = &mut cache.phase2;
         let mut per_thread: Vec<Rc<BTreeSet<RegMap>>> = Vec::with_capacity(m.num_threads());
         let mut all_complete = true;
         let mut cut = false;
@@ -279,19 +297,19 @@ impl SearchModel for PromiseFirstModel {
     fn expand(
         &self,
         m: &Machine,
-        _cache: &mut PromiseFirstCache,
+        cache: &mut PromiseFirstCache,
         stats: &mut Stats,
         deadline: Option<Instant>,
     ) -> Vec<Transition> {
         // All certified promises of all threads. The certification memo is
-        // per-query: every promise-mode state has a distinct memory, so
-        // cross-state keys never repeat (see the module docs).
-        let config = self.config();
+        // reset per query: every promise-mode state has a distinct memory,
+        // so cross-state keys never repeat (see the module docs).
         let mut out = Vec::new();
         for tid in (0..m.num_threads()).map(TId) {
             stats.certifications += 1;
-            let mut cert_memo = CertMemo::for_config(config);
-            let (promisable, cut) = find_promises_with(m, tid, &mut cert_memo, deadline);
+            let cert_memo = &mut cache.cert;
+            cert_memo.reset();
+            let (promisable, cut) = find_promises_with(m, tid, cert_memo, deadline);
             let (hits, misses, survived) = cert_memo.counters();
             stats.cert_hits += hits;
             stats.cert_misses += misses;
@@ -350,11 +368,12 @@ const PHASE2_DEADLINE_CHECK_PERIOD: u64 = 256;
 /// All final register valuations thread `tid` can reach running alone under
 /// the machine's (fixed) memory, taking no write-appending steps. Empty if
 /// the thread cannot complete (some promise unfulfillable, or it cannot
-/// terminate). Memoised through `memo`, which the caller scopes to one
-/// promise-mode state (cross-state sharing cannot hit — see the module
-/// docs — but the memory is still part of the key so the memo stays
-/// sound however it is scoped). Sets `cut` (and returns a partial set)
-/// if `deadline` expires mid-search.
+/// terminate). Memoised through `memo`, the worker's phase-2 memo, which
+/// the caller resets per promise-mode state when exhaustive (cross-state
+/// entries cannot hit — see the module docs) and keeps across walks when
+/// sampling; the memory is part of the key, so the memo is sound however
+/// it is scoped. Sets `cut` (and returns a partial set) if `deadline`
+/// expires mid-search.
 #[allow(clippy::too_many_arguments)]
 fn thread_outcomes(
     m: &Machine,
@@ -375,6 +394,7 @@ fn thread_outcomes(
         mem_fp,
         memo,
         stats,
+        step_bufs: Vec::new(),
         deadline,
         cut: false,
         ticks: 0,
@@ -392,6 +412,9 @@ struct ThreadDfs<'a> {
     mem_fp: Fingerprint,
     memo: &'a mut Phase2Memo,
     stats: &'a mut Stats,
+    /// Step buffers of finished nodes, reused by the next ones (one
+    /// allocation per depth level, not per node).
+    step_bufs: Vec<Vec<TransitionKind>>,
     deadline: Option<Instant>,
     cut: bool,
     ticks: u64,
@@ -432,7 +455,10 @@ impl ThreadDfs<'_> {
         } else if thread.state.stuck.is_some() {
             self.stats.bound_hits += 1;
         } else {
-            for kind in enabled_steps(self.m.config(), self.code, self.tid, thread, memory) {
+            let mut steps = self.step_bufs.pop().unwrap_or_default();
+            let config = self.m.config();
+            enabled_steps(config, self.code, self.tid, thread, memory, &mut steps);
+            for kind in &steps {
                 if kind.appends_write() {
                     continue; // non-promise mode: no new writes (stores
                               // and RMWs may only fulfil promises)
@@ -441,12 +467,14 @@ impl ThreadDfs<'_> {
                     break;
                 }
                 let mut th = thread.clone();
-                apply_step(self.m.config(), self.code, self.tid, &kind, &mut th, memory)
+                apply_step(config, self.code, self.tid, kind, &mut th, memory)
                     .expect("enabled step applies");
                 self.stats.transitions += 1;
                 let sub = self.run(&th, memory);
                 out.extend(sub.iter().cloned());
             }
+            steps.clear();
+            self.step_bufs.push(steps);
         }
         let rc = Rc::new(out);
         if !self.cut {
@@ -473,6 +501,7 @@ fn observable_regs(thread: &ThreadInstance) -> RegMap {
 mod tests {
     use super::*;
     use crate::naive::{explore_naive, CertMode};
+    use crate::stats::Stats;
     use promising_core::{CodeBuilder, Expr, Program, Val};
     use std::sync::Arc;
 
@@ -654,6 +683,57 @@ mod tests {
             reuse_out, fresh_out,
             "deadline-truncated phase-2 entries leaked into a complete query"
         );
+    }
+
+    #[test]
+    fn reused_worker_cache_matches_fresh_caches() {
+        // One worker cache reused over a sequence of promise-mode states
+        // (revisiting some) must give the same outcome sets, certified
+        // promises and memo counters as a fresh cache per state.
+        let mk = |from: i64, to: i64, reg| {
+            let mut b = CodeBuilder::new();
+            let l = b.load(reg, Expr::val(from));
+            let s = b.store(Expr::val(to), Expr::val(1));
+            b.finish_seq(&[l, s])
+        };
+        let program = Arc::new(Program::new(vec![mk(0, 1, Reg(1)), mk(1, 0, Reg(2))]));
+        let root = Machine::new(program, Config::arm());
+        let model = PromiseFirstModel::new(&root);
+        let mut stats = Stats::default();
+        let first = model.expand(&root, &mut model.cache(), &mut stats, None);
+        let one = model.apply(&root, &first[0], &mut stats);
+        let second = model.expand(&one, &mut model.cache(), &mut stats, None);
+        let other = second
+            .iter()
+            .find(|t| t.tid != first[0].tid)
+            .expect("the other thread can promise too");
+        let both = model.apply(&one, other, &mut stats);
+
+        let mut reused = model.cache();
+        let mut outcomes_seen = 0;
+        for m in [&both, &root, &both, &one, &root] {
+            let (mut got, mut want) = (BTreeSet::new(), BTreeSet::new());
+            let (mut got_stats, mut want_stats) = (Stats::default(), Stats::default());
+            model.outcome(m, &mut reused, &mut got_stats, None, &mut got);
+            model.outcome(m, &mut model.cache(), &mut want_stats, None, &mut want);
+            assert_eq!(got, want);
+            outcomes_seen += got.len();
+            let got_steps = model.expand(m, &mut reused, &mut got_stats, None);
+            let want_steps = model.expand(m, &mut model.cache(), &mut want_stats, None);
+            assert_eq!(got_steps, want_steps);
+            let counts = |s: &Stats| {
+                (
+                    s.certifications,
+                    s.cert_hits,
+                    s.cert_misses,
+                    s.cert_survived,
+                    s.transitions,
+                    s.final_memories,
+                )
+            };
+            assert_eq!(counts(&got_stats), counts(&want_stats));
+        }
+        assert!(outcomes_seen > 0, "some state must be a final memory");
     }
 
     #[test]
